@@ -80,11 +80,8 @@ pub trait Kernel {
 }
 
 /// Tolerance for [`Gate::Tolerance`] kernels over a length-`k` reduction
-/// of entries bounded by ~10 (matches the tensor crate's property
-/// tests).
-pub fn fma_tol(k: usize) -> f32 {
-    1e-3f32.max(k as f32 * 1e-4)
-}
+/// of entries bounded by ~10: the tensor crate's one definition.
+pub use reduce_tensor::ops::gemm::fma_tol;
 
 struct Naive;
 

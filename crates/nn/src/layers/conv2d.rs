@@ -1,4 +1,4 @@
-//! 2-D convolution layer (im2col + GEMM).
+//! 2-D convolution layer (tap-major im2col + OC-major GEMMs).
 
 use crate::error::{NnError, Result};
 use crate::init::Init;
@@ -29,6 +29,7 @@ pub struct Conv2d {
 
 #[derive(Debug)]
 struct CachedForward {
+    /// Tap-major patches `(C·KH·KW, N·OH·OW)` of the forward input.
     cols: Tensor,
     geom: Conv2dGeometry,
     batch: usize,
@@ -115,14 +116,14 @@ impl Layer for Conv2d {
         let geom = Conv2dGeometry::new(h, w, self.kernel, self.kernel, self.stride, self.padding)?;
         let positions = n * geom.out_h * geom.out_w;
         let patch = self.in_channels * self.kernel * self.kernel;
-        let mut cols = ws.take([positions, patch]);
-        ops::im2col_into(x, &geom, &mut cols)?;
-        let mut rows = ws.take([positions, self.out_channels]);
-        ops::matmul_nt_into(&cols, self.weight.value(), &mut rows)?;
-        ops::add_bias_rows_in_place(&mut rows, self.bias.value())?;
+        let mut cols = ws.take([patch, positions]);
+        ops::im2col_tap_major_into(x, &geom, &mut cols)?;
+        // prod = W · cols — (OC, C·K·K)·(C·K·K, N·OH·OW)
+        let mut prod = ws.take([self.out_channels, positions]);
+        ops::conv2d_forward_gemm_into(self.weight.value(), &cols, &mut prod)?;
         let mut y = ws.take([n, self.out_channels, geom.out_h, geom.out_w]);
-        ops::rows_to_nchw_into(&rows, n, self.out_channels, geom.out_h, geom.out_w, &mut y)?;
-        ws.give(rows);
+        ops::conv2d_output_into(&prod, self.bias.value(), &mut y)?;
+        ws.give(prod);
         self.cached = Some(CachedForward {
             cols,
             geom,
@@ -150,29 +151,29 @@ impl Layer for Conv2d {
         }
         let positions = cached.batch * cached.geom.out_h * cached.geom.out_w;
         let patch = self.in_channels * self.kernel * self.kernel;
-        let mut grows = ws.take([positions, self.out_channels]);
-        ops::nchw_to_rows_into(grad, &mut grows)?;
-        // dW = growsᵀ · cols — (OC, N·OH·OW)·(N·OH·OW, C·K·K)
+        let mut g = ws.take([self.out_channels, positions]);
+        ops::conv2d_grad_oc_major_into(grad, &mut g)?;
+        // dW = G · colsᵀ — (OC, N·OH·OW)·(N·OH·OW, C·K·K)
         let mut dw = ws.take([self.out_channels, patch]);
-        ops::matmul_tn_into(&grows, &cached.cols, &mut dw)?;
+        ops::conv2d_weight_grad_into(&g, &cached.cols, &mut dw)?;
         self.weight.grad_mut().axpy(1.0, &dw)?;
         ws.give(dw);
         let mut db = ws.take([self.out_channels]);
-        grows.sum_rows_into(&mut db)?;
+        ops::conv2d_bias_grad_into(&g, &mut db)?;
         self.bias.grad_mut().axpy(1.0, &db)?;
         ws.give(db);
-        // dcols = grows · W — (N·OH·OW, OC)·(OC, C·K·K)
-        let mut dcols = ws.take([positions, patch]);
-        ops::matmul_into(&grows, self.weight.value(), &mut dcols)?;
-        ws.give(grows);
+        // dcols = Wᵀ · G — (C·K·K, OC)·(OC, N·OH·OW)
+        let mut dcols = ws.take([patch, positions]);
+        ops::conv2d_input_grad_into(self.weight.value(), &g, &mut dcols)?;
+        ws.give(g);
         let mut gx = ws.take([
             cached.batch,
             self.in_channels,
             cached.geom.in_h,
             cached.geom.in_w,
         ]);
-        ops::col2im_into(
-            &dcols,
+        ops::col2im_tap_major_into(
+            &mut dcols,
             cached.batch,
             self.in_channels,
             &cached.geom,

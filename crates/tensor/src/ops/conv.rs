@@ -1,12 +1,36 @@
 //! Convolution and pooling kernels for NCHW tensors.
 //!
-//! Convolution is implemented by the classic im2col lowering: the input
-//! patches are unrolled into a `(N·OH·OW, C·KH·KW)` matrix so the
-//! convolution becomes one GEMM against the `(OC, C·KH·KW)` filter matrix —
-//! exactly the reshaping the systolic-array mapper in `reduce-systolic`
-//! assumes when it lays filter weights onto the PE grid.
+//! Convolution is lowered to GEMM through im2col: the input patches are
+//! unrolled into a column matrix so the convolution becomes one product
+//! with the `(OC, C·KH·KW)` filter matrix — exactly the reshaping the
+//! systolic-array mapper in `reduce-systolic` assumes when it lays filter
+//! weights onto the PE grid. Two layouts of that lowering live here:
+//!
+//! * **Tap-major** (the training path, `Conv2d` in `reduce-nn`):
+//!   [`im2col_tap_major_into`] builds `cols` as `(C·KH·KW, N·OH·OW)`, one
+//!   row per kernel tap, each row filled from contiguous runs of input
+//!   rows. The products are OC-major — [`conv2d_forward_gemm_into`]
+//!   (`W · cols`), [`conv2d_weight_grad_into`] (`G · colsᵀ`),
+//!   [`conv2d_input_grad_into`] (`Wᵀ · G`) — with the bias add and the
+//!   NCHW layout moves as block copies ([`conv2d_output_into`],
+//!   [`conv2d_grad_oc_major_into`]), and [`col2im_tap_major_into`]
+//!   scatters the column gradient back.
+//! * **Position-major** (the reference): [`im2col_into`] builds
+//!   `(N·OH·OW, C·KH·KW)`, the products run through `matmul_nt_into` /
+//!   `matmul_tn_into` / `matmul_into`, and [`rows_to_nchw_into`],
+//!   [`nchw_to_rows_into`] and [`col2im_into`] move the layouts.
+//!
+//! The two paths are bit-identical on `y`, `dW`, `db` and `dX`. Each
+//! tap-major product runs in the rounding family
+//! ([`GemmFamily`]) that `matmul*` dispatch picks for the *logical*
+//! position-major problem (`m` = positions, `k` = patch, `n` = OC), and
+//! every element is the same ascending reduction chain in both layouts.
+//! [`col2im_tap_major_into`] visits taps with `ky`, then `kx`, descending,
+//! which is exactly the order in which ascending output positions reach
+//! any one input pixel.
 
 use crate::error::{Result, TensorError};
+use crate::ops::gemm::{self, GemmFamily, GemmVariant};
 use crate::tensor::Tensor;
 
 /// Spatial geometry of a 2-D convolution or pooling window.
@@ -97,6 +121,16 @@ impl Conv2dGeometry {
     }
 }
 
+/// A [`TensorError::ShapeMismatch`] naming `op`: `want` is the shape the
+/// kernel expected, `got` the one it was handed.
+fn shape_mismatch(op: &'static str, want: &[usize], got: &[usize]) -> TensorError {
+    TensorError::ShapeMismatch {
+        op,
+        lhs: want.to_vec(),
+        rhs: got.to_vec(),
+    }
+}
+
 fn check_nchw(op: &'static str, x: &Tensor) -> Result<(usize, usize, usize, usize)> {
     let d = x.dims();
     if d.len() != 4 {
@@ -136,22 +170,16 @@ pub fn im2col(x: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 /// Same conditions as [`im2col`], plus a shape check on `out`.
 pub fn im2col_into(x: &Tensor, geom: &Conv2dGeometry, out: &mut Tensor) -> Result<()> {
     let (n, c, h, w) = check_nchw("im2col", x)?;
-    if h != geom.in_h || w != geom.in_w {
-        return Err(TensorError::ShapeMismatch {
-            op: "im2col",
-            lhs: vec![geom.in_h, geom.in_w],
-            rhs: vec![h, w],
-        });
-    }
+    check_spatial("im2col", geom, h, w)?;
     let (kh, kw, s, p) = (geom.kernel_h, geom.kernel_w, geom.stride, geom.padding);
     let (oh, ow) = (geom.out_h, geom.out_w);
     let row_len = c * kh * kw;
     if out.dims() != [n * oh * ow, row_len] {
-        return Err(TensorError::ShapeMismatch {
-            op: "im2col_into",
-            lhs: vec![n * oh * ow, row_len],
-            rhs: out.dims().to_vec(),
-        });
+        return Err(shape_mismatch(
+            "im2col_into",
+            &[n * oh * ow, row_len],
+            out.dims(),
+        ));
     }
     out.fill_zero();
     let xd = x.data();
@@ -217,18 +245,14 @@ pub fn col2im_into(
     let (kh, kw, s, p) = (geom.kernel_h, geom.kernel_w, geom.stride, geom.padding);
     let (oh, ow, h, w) = (geom.out_h, geom.out_w, geom.in_h, geom.in_w);
     if rows != n * oh * ow || row_len != c * kh * kw {
-        return Err(TensorError::ShapeMismatch {
-            op: "col2im",
-            lhs: vec![n * oh * ow, c * kh * kw],
-            rhs: vec![rows, row_len],
-        });
+        return Err(shape_mismatch(
+            "col2im",
+            &[n * oh * ow, c * kh * kw],
+            &[rows, row_len],
+        ));
     }
     if out.dims() != [n, c, h, w] {
-        return Err(TensorError::ShapeMismatch {
-            op: "col2im_into",
-            lhs: vec![n, c, h, w],
-            rhs: out.dims().to_vec(),
-        });
+        return Err(shape_mismatch("col2im_into", &[n, c, h, w], out.dims()));
     }
     out.fill_zero();
     let cd = cols.data();
@@ -262,6 +286,557 @@ pub fn col2im_into(
     Ok(())
 }
 
+/// Output planes at or above this many positions are moved one tap
+/// region per image at a time — one shifted span on stride-1 geometries,
+/// row runs otherwise. Smaller planes (the 2×2 and 1×1 tail of a VGG)
+/// copy each valid pixel across all images instead, so no
+/// per-image work is paid on regions only a few floats long.
+const SPAN_MIN_PLANE: usize = 16;
+
+/// The half-open range `lo..hi` of output coordinates `o < out` whose
+/// tap at kernel offset `k` reads inside an input axis of length `len`,
+/// i.e. `0 ≤ o·s + k − p < len`. Empty when the tap is all padding.
+fn valid_taps(k: usize, s: usize, p: usize, len: usize, out: usize) -> (usize, usize) {
+    let lo = p.saturating_sub(k).div_ceil(s).min(out);
+    let hi = (len + p).saturating_sub(k).div_ceil(s).min(out).max(lo);
+    (lo, hi)
+}
+
+/// Element-wise copy of the common prefix of `src` into `dst`.
+fn copy_run(dst: &mut [f32], src: &[f32]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = v;
+    }
+}
+
+/// A tap region in shift form (see [`TapRegion::shifted_span`]): output
+/// offsets `out_lo..out_lo + len` read input offsets
+/// `in_lo..in_lo + len`. Inside the span, every row after the first
+/// starts with a gap: the `pitch − width` positions from the end of one
+/// row's valid columns to the start of the next row's, which read padding.
+#[derive(Debug, Clone, Copy)]
+struct ShiftedSpan {
+    out_lo: usize,
+    in_lo: usize,
+    len: usize,
+    width: usize,
+    pitch: usize,
+}
+
+impl ShiftedSpan {
+    /// Zeroes the gap positions of a span-length slice: strided stores,
+    /// one per row and gap column.
+    fn zero_gaps(&self, span: &mut [f32]) {
+        for g in self.width..self.pitch {
+            for v in span.iter_mut().skip(g).step_by(self.pitch) {
+                *v = 0.0;
+            }
+        }
+    }
+}
+
+/// The valid region of one kernel tap over an `(h, w)` input plane:
+/// output rows `oy_lo..oy_hi`, columns `ox_lo..ox_hi`, and the input
+/// pixel `(iy0, ix0)` read by the region's first output pixel.
+#[derive(Debug, Clone, Copy)]
+struct TapRegion {
+    oy_lo: usize,
+    oy_hi: usize,
+    ox_lo: usize,
+    ox_hi: usize,
+    iy0: usize,
+    ix0: usize,
+}
+
+impl TapRegion {
+    /// `None` when every output position of the tap reads padding.
+    fn new(geom: &Conv2dGeometry, ky: usize, kx: usize) -> Option<Self> {
+        let (s, p) = (geom.stride, geom.padding);
+        let (oy_lo, oy_hi) = valid_taps(ky, s, p, geom.in_h, geom.out_h);
+        let (ox_lo, ox_hi) = valid_taps(kx, s, p, geom.in_w, geom.out_w);
+        if oy_lo == oy_hi || ox_lo == ox_hi {
+            return None;
+        }
+        Some(TapRegion {
+            oy_lo,
+            oy_hi,
+            ox_lo,
+            ox_hi,
+            iy0: oy_lo * s + ky - p,
+            ix0: ox_lo * s + kx - p,
+        })
+    }
+
+    /// For stride 1 with equal input and output row pitch, output
+    /// offset `q` of the tap reads input offset `q + (ky − p)·W + (kx − p)`
+    /// everywhere: the region is one contiguous span shifted by a
+    /// constant. `None` for any other geometry.
+    fn shifted_span(&self, geom: &Conv2dGeometry) -> Option<ShiftedSpan> {
+        if geom.stride != 1 || geom.out_w != geom.in_w {
+            return None;
+        }
+        let ow = geom.out_w;
+        let width = self.ox_hi - self.ox_lo;
+        let out_lo = self.oy_lo * ow + self.ox_lo;
+        Some(ShiftedSpan {
+            out_lo,
+            in_lo: self.iy0 * ow + self.ix0,
+            len: (self.oy_hi - 1) * ow + self.ox_hi - out_lo,
+            width,
+            pitch: ow,
+        })
+    }
+
+    /// Lists `(output offset, input offset)` within one plane for every
+    /// valid pixel, row-major, into `pairs`; returns how many were
+    /// written. Only called for planes smaller than `pairs`.
+    fn pixels(&self, geom: &Conv2dGeometry, pairs: &mut [(usize, usize)]) -> usize {
+        let (s, ow, w) = (geom.stride, geom.out_w, geom.in_w);
+        let all = (self.oy_lo..self.oy_hi).flat_map(|oy| {
+            let iy = self.iy0 + (oy - self.oy_lo) * s;
+            (self.ox_lo..self.ox_hi)
+                .map(move |ox| (oy * ow + ox, iy * w + self.ix0 + (ox - self.ox_lo) * s))
+        });
+        let mut count = 0;
+        for (slot, pair) in pairs.iter_mut().zip(all) {
+            *slot = pair;
+            count += 1;
+        }
+        count
+    }
+}
+
+/// Checks that `geom` was built for an `(h, w)` input.
+fn check_spatial(op: &'static str, geom: &Conv2dGeometry, h: usize, w: usize) -> Result<()> {
+    if h != geom.in_h || w != geom.in_w {
+        return Err(shape_mismatch(op, &[geom.in_h, geom.in_w], &[h, w]));
+    }
+    Ok(())
+}
+
+/// Unrolls input patches tap-major: `(N, C, H, W)` → `(C·KH·KW, N·OH·OW)`.
+///
+/// Row `(ch·KH + ky)·KW + kx` holds kernel tap `(ch, ky, kx)` for every
+/// output position `n·OH·OW + oy·OW + ox`; padding taps are zero. This is
+/// the transpose of [`im2col`], built from contiguous runs of input rows:
+/// a tap row reads `OW`-long runs (stride 1) instead of `KW`-long ones,
+/// an all-padding tap row is one fill, and on small output planes each
+/// valid pixel is gathered across all images in one pass.
+///
+/// # Errors
+///
+/// Returns an error if `x` is not rank-4, the geometry does not match its
+/// spatial dims, or `out` is not `(C·KH·KW, N·OH·OW)`.
+pub fn im2col_tap_major_into(x: &Tensor, geom: &Conv2dGeometry, out: &mut Tensor) -> Result<()> {
+    let (n, c, h, w) = check_nchw("im2col_tap_major", x)?;
+    check_spatial("im2col_tap_major", geom, h, w)?;
+    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
+    let plane = geom.out_positions();
+    let positions = n * plane;
+    if out.dims() != [c * kh * kw, positions] {
+        return Err(shape_mismatch(
+            "im2col_tap_major_into",
+            &[c * kh * kw, positions],
+            out.dims(),
+        ));
+    }
+    let (hw, chw) = (h * w, c * h * w);
+    if positions == 0 || hw == 0 {
+        out.fill_zero(); // nothing to read: every tap is padding
+        return Ok(());
+    }
+    let xd = x.data();
+    let mut pairs = [(0, 0); SPAN_MIN_PLANE];
+    let mut rows = out.data_mut().chunks_exact_mut(positions);
+    for ch in 0..c {
+        for ky in 0..kh {
+            for kx in 0..kw {
+                let Some(row) = rows.next() else {
+                    return Ok(());
+                };
+                let Some(tap) = TapRegion::new(geom, ky, kx) else {
+                    row.fill(0.0); // all padding
+                    continue;
+                };
+                if plane < SPAN_MIN_PLANE {
+                    row.fill(0.0);
+                    let count = tap.pixels(geom, &mut pairs);
+                    let pixels = pairs.get(..count).unwrap_or(&[]);
+                    for &(o, i) in pixels {
+                        let src = ch * hw + i;
+                        for (seg, img) in row.chunks_exact_mut(plane).zip(xd.chunks_exact(chw)) {
+                            if let (Some(d), Some(&v)) = (seg.get_mut(o), img.get(src)) {
+                                *d = v;
+                            }
+                        }
+                    }
+                    continue;
+                }
+                let Some(sp) = tap.shifted_span(geom) else {
+                    row.fill(0.0);
+                    im2col_row_runs(row, xd, &tap, geom, ch * hw, chw);
+                    continue;
+                };
+                // One copy per image for the whole region, the padding
+                // around it zeroed, and the wrapped-around padding
+                // columns inside it set back to zero.
+                for (seg, img) in row.chunks_exact_mut(plane).zip(xd.chunks_exact(chw)) {
+                    let src = img.get(ch * hw + sp.in_lo..).unwrap_or(&[]);
+                    let (head, rest) = seg.split_at_mut(sp.out_lo.min(plane));
+                    let (span, tail) = rest.split_at_mut(sp.len.min(rest.len()));
+                    head.fill(0.0);
+                    tail.fill(0.0);
+                    copy_run(span, src);
+                    sp.zero_gaps(span);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The general tap-row fill of [`im2col_tap_major_into`] (any stride):
+/// for every image, one run of `ox_hi − ox_lo` input pixels per valid
+/// output row into a zeroed `row`. `chan` is the channel's offset inside
+/// an image of `chw` floats.
+fn im2col_row_runs(
+    row: &mut [f32],
+    xd: &[f32],
+    tap: &TapRegion,
+    geom: &Conv2dGeometry,
+    chan: usize,
+    chw: usize,
+) {
+    let (s, ow, w) = (geom.stride, geom.out_w, geom.in_w);
+    let width = tap.ox_hi - tap.ox_lo;
+    for (seg, img) in row
+        .chunks_exact_mut(geom.out_positions())
+        .zip(xd.chunks_exact(chw))
+    {
+        let body = seg
+            .get_mut(tap.oy_lo * ow..tap.oy_hi * ow)
+            .unwrap_or(&mut []);
+        for (r, drow) in body.chunks_exact_mut(ow).enumerate() {
+            let start = chan + (tap.iy0 + r * s) * w + tap.ix0;
+            let srow = img.get(start..).unwrap_or(&[]);
+            let dst = drow.get_mut(tap.ox_lo..tap.ox_hi).unwrap_or(&mut []);
+            if s == 1 {
+                copy_run(dst, srow.get(..width).unwrap_or(&[]));
+            } else {
+                for (d, &v) in dst.iter_mut().zip(srow.iter().step_by(s)) {
+                    *d = v;
+                }
+            }
+        }
+    }
+}
+
+/// Scatters tap-major column gradients back: the adjoint of
+/// [`im2col_tap_major_into`], accumulating into `out` of shape
+/// `(N, C, H, W)` (zeroed first).
+///
+/// Taps are visited `ky` descending, then `kx` descending. Ascending
+/// output positions reach a given input pixel in exactly that tap order,
+/// so every pixel sums the same terms in the same order as
+/// [`col2im_into`] over the transposed columns, and the results are
+/// bit-identical.
+///
+/// `cols` is scratch: entries at padding taps carry no gradient, and on
+/// stride-1 geometries whose output rows are as wide as the input rows
+/// they are zeroed so each tap's region can be added as one shifted span
+/// (a `+0.0` leaves any partial sum's bits unchanged).
+///
+/// # Errors
+///
+/// Returns an error if `cols` is not `(C·KH·KW, N·OH·OW)` or `out` is not
+/// `(N, C, H, W)` for the geometry.
+pub fn col2im_tap_major_into(
+    cols: &mut Tensor,
+    n: usize,
+    c: usize,
+    geom: &Conv2dGeometry,
+    out: &mut Tensor,
+) -> Result<()> {
+    let (kh, kw, h, w) = (geom.kernel_h, geom.kernel_w, geom.in_h, geom.in_w);
+    let plane = geom.out_positions();
+    let positions = n * plane;
+    if cols.dims() != [c * kh * kw, positions] {
+        return Err(shape_mismatch(
+            "col2im_tap_major",
+            &[c * kh * kw, positions],
+            cols.dims(),
+        ));
+    }
+    if out.dims() != [n, c, h, w] {
+        return Err(shape_mismatch(
+            "col2im_tap_major_into",
+            &[n, c, h, w],
+            out.dims(),
+        ));
+    }
+    out.fill_zero();
+    let (hw, chw) = (h * w, c * h * w);
+    if positions == 0 || hw == 0 {
+        return Ok(());
+    }
+    let cd = cols.data_mut();
+    let od = out.data_mut();
+    let mut pairs = [(0, 0); SPAN_MIN_PLANE];
+    for ch in 0..c {
+        for ky in (0..kh).rev() {
+            for kx in (0..kw).rev() {
+                let Some(tap) = TapRegion::new(geom, ky, kx) else {
+                    continue;
+                };
+                let start = ((ch * kh + ky) * kw + kx) * positions;
+                let row = cd.get_mut(start..start + positions).unwrap_or(&mut []);
+                if plane < SPAN_MIN_PLANE {
+                    let count = tap.pixels(geom, &mut pairs);
+                    let pixels = pairs.get(..count).unwrap_or(&[]);
+                    for &(o, i) in pixels {
+                        let dst = ch * hw + i;
+                        for (seg, img) in row.chunks_exact(plane).zip(od.chunks_exact_mut(chw)) {
+                            if let (Some(d), Some(&v)) = (img.get_mut(dst), seg.get(o)) {
+                                *d += v;
+                            }
+                        }
+                    }
+                    continue;
+                }
+                let Some(sp) = tap.shifted_span(geom) else {
+                    col2im_row_runs(row, od, &tap, geom, ch * hw, chw);
+                    continue;
+                };
+                // Padding columns inside the span to +0.0, then one add
+                // per image for the whole region.
+                for (seg, img) in row.chunks_exact_mut(plane).zip(od.chunks_exact_mut(chw)) {
+                    let src = seg.get_mut(sp.out_lo..sp.out_lo + sp.len);
+                    let src = src.unwrap_or(&mut []);
+                    sp.zero_gaps(src);
+                    let dst = img.get_mut(ch * hw + sp.in_lo..).unwrap_or(&mut []);
+                    for (d, &v) in dst.iter_mut().zip(&*src) {
+                        *d += v;
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The general scatter of one tap row in [`col2im_tap_major_into`] (any
+/// stride): for every image, one run of `ox_hi − ox_lo` gradients per
+/// valid output row added into its input row. `chan` is the channel's
+/// offset inside an image of `chw` floats.
+fn col2im_row_runs(
+    row: &[f32],
+    od: &mut [f32],
+    tap: &TapRegion,
+    geom: &Conv2dGeometry,
+    chan: usize,
+    chw: usize,
+) {
+    let (s, ow, w) = (geom.stride, geom.out_w, geom.in_w);
+    for (seg, img) in row
+        .chunks_exact(geom.out_positions())
+        .zip(od.chunks_exact_mut(chw))
+    {
+        let body = seg.get(tap.oy_lo * ow..tap.oy_hi * ow).unwrap_or(&[]);
+        for (r, srow) in body.chunks_exact(ow).enumerate() {
+            let start = chan + (tap.iy0 + r * s) * w + tap.ix0;
+            let drow = img.get_mut(start..).unwrap_or(&mut []);
+            let src = srow.get(tap.ox_lo..tap.ox_hi).unwrap_or(&[]);
+            if s == 1 {
+                for (d, &v) in drow.iter_mut().zip(src) {
+                    *d += v;
+                }
+            } else {
+                for (d, &v) in drow.iter_mut().step_by(s).zip(src) {
+                    *d += v;
+                }
+            }
+        }
+    }
+}
+
+/// The forward product of the tap-major lowering:
+/// `out (OC, N·OH·OW) = W (OC, C·KH·KW) · cols (C·KH·KW, N·OH·OW)`,
+/// in the rounding family of the position-major product it replaces,
+/// `matmul_nt(colsᵀ, W)`.
+///
+/// # Errors
+///
+/// Returns an error for non-conforming shapes, naming
+/// `conv2d_forward_gemm_into`.
+pub fn conv2d_forward_gemm_into(weight: &Tensor, cols: &Tensor, out: &mut Tensor) -> Result<()> {
+    const OP: &str = "conv2d_forward_gemm_into";
+    let (oc, patch, positions) = GemmVariant::NN.problem_size(OP, weight, cols)?;
+    gemm::check_out(OP, out, oc, positions)?;
+    out.fill_zero();
+    gemm::family_into(
+        GemmFamily::for_problem(positions, patch, oc),
+        GemmVariant::NN,
+        oc,
+        patch,
+        positions,
+        weight.data(),
+        cols.data(),
+        out.data_mut(),
+    );
+    Ok(())
+}
+
+/// The weight gradient of the tap-major lowering:
+/// `out (OC, C·KH·KW) = G (OC, N·OH·OW) · colsᵀ`, in the rounding family
+/// of the position-major product it replaces, `matmul_tn(Gᵀ, colsᵀ)`.
+///
+/// # Errors
+///
+/// Returns an error for non-conforming shapes, naming
+/// `conv2d_weight_grad_into`.
+pub fn conv2d_weight_grad_into(grad: &Tensor, cols: &Tensor, out: &mut Tensor) -> Result<()> {
+    const OP: &str = "conv2d_weight_grad_into";
+    let (oc, positions, patch) = GemmVariant::NT.problem_size(OP, grad, cols)?;
+    gemm::check_out(OP, out, oc, patch)?;
+    out.fill_zero();
+    gemm::family_into(
+        GemmFamily::for_problem(oc, positions, patch),
+        GemmVariant::NT,
+        oc,
+        positions,
+        patch,
+        grad.data(),
+        cols.data(),
+        out.data_mut(),
+    );
+    Ok(())
+}
+
+/// The column gradient of the tap-major lowering:
+/// `out (C·KH·KW, N·OH·OW) = Wᵀ · G (OC, N·OH·OW)`, in the rounding
+/// family of the position-major product it replaces, `matmul(Gᵀ, W)`.
+///
+/// # Errors
+///
+/// Returns an error for non-conforming shapes, naming
+/// `conv2d_input_grad_into`.
+pub fn conv2d_input_grad_into(weight: &Tensor, grad: &Tensor, out: &mut Tensor) -> Result<()> {
+    const OP: &str = "conv2d_input_grad_into";
+    let (patch, oc, positions) = GemmVariant::TN.problem_size(OP, weight, grad)?;
+    gemm::check_out(OP, out, patch, positions)?;
+    out.fill_zero();
+    gemm::family_into(
+        GemmFamily::for_problem(positions, oc, patch),
+        GemmVariant::TN,
+        patch,
+        oc,
+        positions,
+        weight.data(),
+        grad.data(),
+        out.data_mut(),
+    );
+    Ok(())
+}
+
+/// Moves an OC-major product `(OC, N·OH·OW)` into NCHW `out`
+/// `(N, OC, OH, OW)`, adding `bias[oc]` on the way: one block copy per
+/// `(image, channel)` plane. Every element of `out` is overwritten.
+///
+/// # Errors
+///
+/// Returns an error if `out` is not rank-4 or `prod`/`bias` do not match
+/// it.
+pub fn conv2d_output_into(prod: &Tensor, bias: &Tensor, out: &mut Tensor) -> Result<()> {
+    let (n, oc, oh, ow) = check_nchw("conv2d_output_into", out)?;
+    let plane = oh * ow;
+    if prod.dims() != [oc, n * plane] {
+        return Err(shape_mismatch(
+            "conv2d_output_into",
+            &[oc, n * plane],
+            prod.dims(),
+        ));
+    }
+    if bias.dims() != [oc] {
+        return Err(shape_mismatch("conv2d_output_into", &[oc], bias.dims()));
+    }
+    if n * plane * oc == 0 {
+        return Ok(());
+    }
+    let (pd, bd) = (prod.data(), bias.data());
+    for (img, y_img) in out.data_mut().chunks_exact_mut(oc * plane).enumerate() {
+        let planes = y_img.chunks_exact_mut(plane);
+        for ((y, prow), &b) in planes.zip(pd.chunks_exact(n * plane)).zip(bd) {
+            let src = prow.get(img * plane..(img + 1) * plane).unwrap_or(&[]);
+            for (yv, &v) in y.iter_mut().zip(src) {
+                *yv = v + b;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Moves an NCHW gradient `(N, OC, OH, OW)` into OC-major `out`
+/// `(OC, N·OH·OW)`, the layout the tap-major backward products read.
+/// Every element of `out` is overwritten.
+///
+/// # Errors
+///
+/// Returns an error if `grad` is not rank-4 or `out` does not match it.
+pub fn conv2d_grad_oc_major_into(grad: &Tensor, out: &mut Tensor) -> Result<()> {
+    let (n, oc, oh, ow) = check_nchw("conv2d_grad_oc_major_into", grad)?;
+    let plane = oh * ow;
+    if out.dims() != [oc, n * plane] {
+        return Err(shape_mismatch(
+            "conv2d_grad_oc_major_into",
+            &[oc, n * plane],
+            out.dims(),
+        ));
+    }
+    if n * plane * oc == 0 {
+        return Ok(());
+    }
+    let od = out.data_mut();
+    for (img, g_img) in grad.data().chunks_exact(oc * plane).enumerate() {
+        for (g, orow) in g_img
+            .chunks_exact(plane)
+            .zip(od.chunks_exact_mut(n * plane))
+        {
+            let dst = orow
+                .get_mut(img * plane..(img + 1) * plane)
+                .unwrap_or(&mut []);
+            copy_run(dst, g);
+        }
+    }
+    Ok(())
+}
+
+/// The bias gradient from an OC-major gradient `(OC, P)`: `out[oc]` is
+/// the sum of row `oc` in ascending position order from `+0.0` — the
+/// same chain [`Tensor::sum_rows_into`] runs over the position-major
+/// `(P, OC)` layout, so the bits agree.
+///
+/// # Errors
+///
+/// Returns an error if `grad` is not rank-2 or `out` is not `(OC,)`.
+pub fn conv2d_bias_grad_into(grad: &Tensor, out: &mut Tensor) -> Result<()> {
+    let (oc, positions) = gemm::check_rank2("conv2d_bias_grad_into", grad)?;
+    if out.dims() != [oc] {
+        return Err(shape_mismatch("conv2d_bias_grad_into", &[oc], out.dims()));
+    }
+    out.fill_zero();
+    if positions == 0 {
+        return Ok(());
+    }
+    for (acc, row) in out
+        .data_mut()
+        .iter_mut()
+        .zip(grad.data().chunks_exact(positions))
+    {
+        *acc = row.iter().fold(0.0, |sum, &v| sum + v);
+    }
+    Ok(())
+}
+
 /// Reorders a `(N·OH·OW, OC)` GEMM output into NCHW `(N, OC, OH, OW)`.
 ///
 /// # Errors
@@ -289,18 +864,14 @@ pub fn rows_to_nchw_into(
 ) -> Result<()> {
     let (r, c) = rows.shape().as_matrix()?;
     if r != n * oh * ow || c != oc {
-        return Err(TensorError::ShapeMismatch {
-            op: "rows_to_nchw",
-            lhs: vec![n * oh * ow, oc],
-            rhs: vec![r, c],
-        });
+        return Err(shape_mismatch("rows_to_nchw", &[n * oh * ow, oc], &[r, c]));
     }
     if out.dims() != [n, oc, oh, ow] {
-        return Err(TensorError::ShapeMismatch {
-            op: "rows_to_nchw_into",
-            lhs: vec![n, oc, oh, ow],
-            rhs: out.dims().to_vec(),
-        });
+        return Err(shape_mismatch(
+            "rows_to_nchw_into",
+            &[n, oc, oh, ow],
+            out.dims(),
+        ));
     }
     let rd = rows.data();
     let od = out.data_mut();
@@ -338,11 +909,11 @@ pub fn nchw_to_rows(x: &Tensor) -> Result<Tensor> {
 pub fn nchw_to_rows_into(x: &Tensor, out: &mut Tensor) -> Result<()> {
     let (n, c, h, w) = check_nchw("nchw_to_rows", x)?;
     if out.dims() != [n * h * w, c] {
-        return Err(TensorError::ShapeMismatch {
-            op: "nchw_to_rows_into",
-            lhs: vec![n * h * w, c],
-            rhs: out.dims().to_vec(),
-        });
+        return Err(shape_mismatch(
+            "nchw_to_rows_into",
+            &[n * h * w, c],
+            out.dims(),
+        ));
     }
     let xd = x.data();
     let od = out.data_mut();
@@ -404,11 +975,11 @@ pub fn max_pool2d_into(
     let geom = Conv2dGeometry::new(h, w, window, window, stride, 0)?;
     let (oh, ow) = (geom.out_h, geom.out_w);
     if out.dims() != [n, c, oh, ow] {
-        return Err(TensorError::ShapeMismatch {
-            op: "max_pool2d_into",
-            lhs: vec![n, c, oh, ow],
-            rhs: out.dims().to_vec(),
-        });
+        return Err(shape_mismatch(
+            "max_pool2d_into",
+            &[n, c, oh, ow],
+            out.dims(),
+        ));
     }
     argmax.clear();
     argmax.resize(n * c * oh * ow, 0);
@@ -504,11 +1075,11 @@ pub fn avg_pool2d_into(x: &Tensor, window: usize, stride: usize, out: &mut Tenso
     let geom = Conv2dGeometry::new(h, w, window, window, stride, 0)?;
     let (oh, ow) = (geom.out_h, geom.out_w);
     if out.dims() != [n, c, oh, ow] {
-        return Err(TensorError::ShapeMismatch {
-            op: "avg_pool2d_into",
-            lhs: vec![n, c, oh, ow],
-            rhs: out.dims().to_vec(),
-        });
+        return Err(shape_mismatch(
+            "avg_pool2d_into",
+            &[n, c, oh, ow],
+            out.dims(),
+        ));
     }
     let inv = 1.0 / (window * window) as f32;
     let output = out;
@@ -686,6 +1257,51 @@ mod tests {
         let x = Tensor::zeros([1, 1, 5, 5]);
         assert!(im2col(&x, &geom).is_err());
         assert!(im2col(&Tensor::zeros([5, 5]), &geom).is_err());
+    }
+
+    /// `(h, w, kernel, stride, padding)` cases covering every tap-major
+    /// copy path: shifted spans ("same" stride 1), row runs (stride 2,
+    /// valid padding, output narrower than input), small-plane pixel
+    /// gathers, and all-padding taps.
+    const TAP_MAJOR_CASES: [(usize, usize, usize, usize, usize); 8] = [
+        (16, 16, 3, 1, 1),
+        (6, 9, 5, 1, 2),
+        (9, 7, 3, 2, 1),
+        (8, 10, 3, 1, 0),
+        (4, 4, 3, 1, 1),
+        (2, 2, 3, 1, 1),
+        (1, 1, 3, 1, 1),
+        (2, 3, 5, 2, 2),
+    ];
+
+    #[test]
+    fn tap_major_im2col_is_the_transpose_of_im2col() {
+        for (i, &(h, w, k, s, p)) in TAP_MAJOR_CASES.iter().enumerate() {
+            let geom = Conv2dGeometry::new(h, w, k, k, s, p).expect("valid");
+            let x = Tensor::rand_uniform([3, 2, h, w], -1.0, 1.0, 40 + i as u64);
+            let cols = im2col(&x, &geom).expect("geometry matches");
+            let (rows, taps) = cols.shape().as_matrix().expect("matrix");
+            let mut tap_major = Tensor::full([taps, rows], f32::NAN);
+            im2col_tap_major_into(&x, &geom, &mut tap_major).expect("geometry matches");
+            let want = Tensor::from_fn([taps, rows], |f| cols.data()[(f % rows) * taps + f / rows]);
+            assert_eq!(tap_major, want, "case {:?}", TAP_MAJOR_CASES[i]);
+        }
+    }
+
+    #[test]
+    fn tap_major_col2im_is_bit_identical_to_col2im() {
+        for (i, &(h, w, k, s, p)) in TAP_MAJOR_CASES.iter().enumerate() {
+            let geom = Conv2dGeometry::new(h, w, k, k, s, p).expect("valid");
+            let (rows, taps) = (3 * geom.out_positions(), 2 * k * k);
+            let cols = Tensor::rand_uniform([rows, taps], -1.0, 1.0, 60 + i as u64);
+            let want = col2im(&cols, 3, 2, &geom).expect("consistent");
+            let mut tap_major =
+                Tensor::from_fn([taps, rows], |f| cols.data()[(f % rows) * taps + f / rows]);
+            let mut got = Tensor::full([3, 2, h, w], f32::NAN);
+            col2im_tap_major_into(&mut tap_major, 3, 2, &geom, &mut got).expect("consistent");
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "case {:?}", TAP_MAJOR_CASES[i]);
+        }
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! *more* accurate than, but not bit-identical to, the reference loops
 //! (see the determinism notes in [`super`]). The reduction order is
 //! still strictly ascending `p` for every element, so results are fully
-//! deterministic for a given build.
+//! deterministic for a given build. The same tile also runs unfused
+//! (`microtile::<false>`, separate multiply and add), which reproduces
+//! the reference loops bit for bit: that is how the blocked family gets
+//! register-tiled speed on large shapes.
 //!
 //! Tile-size notes from the machines this was tuned on: `4 × 8` without
 //! FMA saturates the two vector ALU ports but FMA then stalls on four
@@ -47,18 +50,43 @@ pub(crate) const NR: usize = 16;
 /// promotion and made the kernel run scalar from memory). The
 /// `try_into` conversions to array references are how the slice bounds
 /// checks disappear from the inner loop.
+///
+/// `FUSED` picks the rounding family. `true` contracts each step into one
+/// [`f32::mul_add`] (the packed family). `false` rounds the product and
+/// the sum separately, exactly like the blocked reference loops: every
+/// element is then the same ascending chain `acc + a·b` from `+0.0` that
+/// [`super::reference::blocked_into`] computes, so the register tile
+/// reproduces the blocked family bit for bit at packed-kernel speed.
 #[inline]
 #[allow(clippy::expect_used)] // chunks_exact guarantees the window lengths
-pub(crate) fn microtile(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+pub(crate) fn microtile<const FUSED: bool>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
     for (arow, brow) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         // xtask:allow(expect): chunks_exact(MR) yields exactly-MR windows, so the array conversion is statically infallible
         let arow: &[f32; MR] = arow.try_into().expect("chunks_exact yields MR");
         // xtask:allow(expect): chunks_exact(NR) yields exactly-NR windows, so the array conversion is statically infallible
         let brow: &[f32; NR] = brow.try_into().expect("chunks_exact yields NR");
-        for (acc_row, &a) in acc.iter_mut().zip(arow) {
-            for (c, &b) in acc_row.iter_mut().zip(brow) {
-                *c = b.mul_add(a, *c);
+        if FUSED {
+            for (acc_row, &a) in acc.iter_mut().zip(arow) {
+                for (c, &b) in acc_row.iter_mut().zip(brow) {
+                    *c = b.mul_add(a, *c);
+                }
+            }
+        } else {
+            // Products first, then the adds — the same `acc + a·b` per
+            // element. Written as one pass, LLVM's SLP vectoriser packs
+            // the MR axis instead (gather/scatter through the stack, ~8×
+            // slower); the split keeps the NR axis in vector lanes.
+            let mut prods = [[0.0f32; NR]; MR];
+            for (prow, &a) in prods.iter_mut().zip(arow) {
+                for (p, &b) in prow.iter_mut().zip(brow) {
+                    *p = a * b;
+                }
+            }
+            for (acc_row, prow) in acc.iter_mut().zip(&prods) {
+                for (c, &p) in acc_row.iter_mut().zip(prow) {
+                    *c += p;
+                }
             }
         }
     }
@@ -103,7 +131,7 @@ mod tests {
         ap[0] = 1.0; // step 0, row 0
         ap[MR + 1] = 2.0; // step 1, row 1
         let bp: Vec<f32> = (0..kc * NR).map(|i| i as f32).collect();
-        let acc = microtile(&ap, &bp);
+        let acc = microtile::<true>(&ap, &bp);
         assert_eq!(acc[0][3], 3.0, "row 0 = 1 * B[0][j]");
         assert_eq!(acc[1][3], 2.0 * (NR + 3) as f32, "row 1 = 2 * B[1][j]");
         assert_eq!(acc[2], [0.0; NR]);
@@ -136,7 +164,7 @@ mod tests {
         pack::pack_a(&ad, 3, 1, 0, 0, 1, 3, &mut ap);
         let mut bp = Vec::new();
         pack::pack_b(&ad, 1, 0, 0, 0, 3, 1, &mut bp);
-        let acc = microtile(&ap, &bp);
+        let acc = microtile::<true>(&ap, &bp);
         // dot([1,2,3], [1,2,3]) lands in acc[0][0].
         assert_eq!(acc[0][0], 14.0);
         assert_eq!(acc[1][0], 0.0, "padded A rows contribute zero");

@@ -45,7 +45,8 @@
 //! chain in order, keeping the kernel's rounding a pure function of the
 //! operands, at the price of pack buffers that grow with `k`
 //! (`MC × k` and `k × NC` floats — comfortably cache-sized for every
-//! layer shape in this framework).
+//! layer shape in this framework). The buffers are per-thread scratch
+//! that only grows, so steady-state products never allocate.
 //!
 //! # Dispatch
 //!
@@ -55,6 +56,11 @@
 //! (GEMV-like `m = 1` products, tiny layers). The choice is a pure
 //! function of the shape, so a given call site always takes the same
 //! path and results never depend on anything but the operands.
+//!
+//! The two rounding contracts are named by [`GemmFamily`].
+//! [`gemm_family_into`] runs a product in a chosen family whatever its
+//! shape; the conv lowering uses it to keep each transposed product in
+//! the family of the product it replaces.
 
 pub(crate) mod microkernel;
 pub(crate) mod pack;
@@ -63,6 +69,7 @@ pub mod reference;
 use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
 use microkernel::{MR, NR};
+use std::cell::RefCell;
 
 /// Row cache block: one packed `A` block is `MC × k` floats, sized so a
 /// single `k × MR` micro-panel stays L1-resident while every `B` panel
@@ -181,6 +188,38 @@ pub(crate) fn use_packed(m: usize, k: usize, n: usize) -> bool {
     m >= MR && n >= NR && k >= 2 && m * k * n >= PACKED_MIN_MACS
 }
 
+/// Tolerance for comparing a fused (FMA) kernel against the
+/// separate-rounding naive oracle over a length-`k` reduction of entries
+/// bounded by ~10: `max(1e-3, k·1e-4)`. A real kernel bug (wrong
+/// element, missed tile, bad stride) shows up as O(1) error, orders of
+/// magnitude past this. The one definition the unit tests, the property
+/// tests and the kernel-comparison harness all gate with.
+pub fn fma_tol(k: usize) -> f32 {
+    1e-3f32.max(k as f32 * 1e-4)
+}
+
+/// The rounding family of a GEMM: which of the two bit-level contracts
+/// in the module docs a product's elements follow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GemmFamily {
+    /// One fused multiply-add per step ([`packed_into`]).
+    Packed,
+    /// Separate multiply and add per step ([`reference::blocked_into`]).
+    Blocked,
+}
+
+impl GemmFamily {
+    /// The family [`crate::ops::matmul`] and friends use for a logical
+    /// `(m, k, n)` problem — a pure function of the shape.
+    pub fn for_problem(m: usize, k: usize, n: usize) -> Self {
+        if use_packed(m, k, n) {
+            GemmFamily::Packed
+        } else {
+            GemmFamily::Blocked
+        }
+    }
+}
+
 /// Computes `C += op(A) · op(B)` over a **pre-zeroed** (or accumulating)
 /// output slice, choosing between the packed and blocked kernels by
 /// shape. This is the single compute entry behind every `matmul*`
@@ -194,16 +233,87 @@ pub(crate) fn dispatch_into(
     bd: &[f32],
     cd: &mut [f32],
 ) {
-    if use_packed(m, k, n) {
-        let ((rsa, csa), (rsb, csb)) = variant.strides(m, k, n);
-        gemm_packed(m, k, n, ad, rsa, csa, bd, rsb, csb, cd);
-    } else {
-        reference::blocked_slices(variant, m, k, n, ad, bd, cd);
+    family_into(
+        GemmFamily::for_problem(m, k, n),
+        variant,
+        m,
+        k,
+        n,
+        ad,
+        bd,
+        cd,
+    );
+}
+
+/// Computes `C += op(A) · op(B)` into a **pre-zeroed** `cd` with the
+/// rounding of `family`, whatever the shape. A caller that stores a
+/// product transposed (the conv lowering computes `W · cols` where the
+/// position-major form computes `cols · Wᵀ`) passes the family of the
+/// *logical* problem here, so every element keeps its bits.
+///
+/// [`GemmFamily::Blocked`] runs the register-tiled driver with separate
+/// rounding when the shape is big enough to pack, and the blocked loops
+/// otherwise. Both compute each element as the ascending chain
+/// `acc + a·b` from `+0.0`, so they agree bit for bit on finite operands
+/// (the blocked loops' exact-zero skip adds nothing to such a chain).
+#[allow(clippy::too_many_arguments)] // family + variant + shape + operands
+pub(crate) fn family_into(
+    family: GemmFamily,
+    variant: GemmVariant,
+    m: usize,
+    k: usize,
+    n: usize,
+    ad: &[f32],
+    bd: &[f32],
+    cd: &mut [f32],
+) {
+    let ((rsa, csa), (rsb, csb)) = variant.strides(m, k, n);
+    match family {
+        GemmFamily::Packed => gemm_packed::<true>(m, k, n, ad, rsa, csa, bd, rsb, csb, cd),
+        GemmFamily::Blocked if use_packed(m, k, n) => {
+            gemm_packed::<false>(m, k, n, ad, rsa, csa, bd, rsb, csb, cd)
+        }
+        GemmFamily::Blocked => reference::blocked_slices(variant, m, k, n, ad, bd, cd),
     }
+}
+
+/// Runs `variant` into `out` with the rounding of `family` regardless of
+/// shape. `out` is zeroed first. [`GemmFamily::Packed`] is
+/// [`packed_into`]; [`GemmFamily::Blocked`] is bit-identical to
+/// [`reference::blocked_into`] on finite operands but register-tiled on
+/// shapes large enough to pack.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] for non-rank-2 operands and
+/// [`TensorError::ShapeMismatch`] for non-conforming shapes, naming
+/// `gemm_family_into`.
+pub fn gemm_family_into(
+    family: GemmFamily,
+    variant: GemmVariant,
+    a: &Tensor,
+    b: &Tensor,
+    out: &mut Tensor,
+) -> Result<()> {
+    let (m, k, n) = variant.problem_size("gemm_family_into", a, b)?;
+    check_out("gemm_family_into", out, m, n)?;
+    out.fill_zero();
+    family_into(family, variant, m, k, n, a.data(), b.data(), out.data_mut());
+    Ok(())
+}
+
+thread_local! {
+    /// Per-thread pack buffers of [`gemm_packed`]: `A` block, `B` block.
+    /// Capacity only grows, so after the first product of a given size a
+    /// thread packs without touching the allocator.
+    static PACK_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// The packed, cache-tiled, register-blocked driver. `cd` must hold
 /// `m * n` elements and is accumulated into (callers zero it first).
+/// `FUSED` selects the microkernel's rounding family (see
+/// [`microkernel::microtile`]).
 ///
 /// Loop structure, outermost first: `NC` column blocks of `B` (each
 /// packed once into `bpack`), `MC` row blocks of `A` (each packed once
@@ -211,10 +321,11 @@ pub(crate) fn dispatch_into(
 /// reduction dimension so each output element is one ascending-`k`
 /// accumulation chain — the bit-exactness invariant of the module docs.
 /// The packed `A` micro-panel is the hot operand: it stays in L1 while
-/// every `B` panel of the block streams past it.
+/// every `B` panel of the block streams past it. The pack buffers are the
+/// calling thread's grow-only scratch.
 // BLAS-style kernel signature: problem size + two strided operands + out.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_packed(
+pub(crate) fn gemm_packed<const FUSED: bool>(
     m: usize,
     k: usize,
     n: usize,
@@ -229,28 +340,26 @@ pub(crate) fn gemm_packed(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    // xtask:allow(hot-path-alloc): pack buffers are O(k·(MC+NC)) and amortised over O(m·k·n) multiply-adds; tensor-level callers reuse `out`, the packing copies are the price of unit-stride inner loops
-    let mut apack: Vec<f32> = Vec::new();
-    // xtask:allow(hot-path-alloc): second half of the same amortised pack workspace
-    let mut bpack: Vec<f32> = Vec::new();
-    for jc in (0..n).step_by(NC) {
-        let nc = (jc + NC).min(n) - jc;
-        pack::pack_b(bd, rsb, csb, 0, jc, k, nc, &mut bpack);
-        for ic in (0..m).step_by(MC) {
-            let mc = (ic + MC).min(m) - ic;
-            pack::pack_a(ad, rsa, csa, ic, 0, mc, k, &mut apack);
-            for (qa, ap) in apack.chunks_exact(k * MR).enumerate() {
-                let i0 = ic + qa * MR;
-                let mr_v = MR.min(mc - qa * MR);
-                for (qb, bp) in bpack.chunks_exact(k * NR).enumerate() {
-                    let j0 = jc + qb * NR;
-                    let nr_v = NR.min(nc - qb * NR);
-                    let acc = microkernel::microtile(ap, bp);
-                    microkernel::store_tile(&acc, cd, n, i0, j0, mr_v, nr_v);
+    PACK_SCRATCH.with_borrow_mut(|(apack, bpack)| {
+        for jc in (0..n).step_by(NC) {
+            let nc = (jc + NC).min(n) - jc;
+            pack::pack_b(bd, rsb, csb, 0, jc, k, nc, bpack);
+            for ic in (0..m).step_by(MC) {
+                let mc = (ic + MC).min(m) - ic;
+                pack::pack_a(ad, rsa, csa, ic, 0, mc, k, apack);
+                for (qa, ap) in apack.chunks_exact(k * MR).enumerate() {
+                    let i0 = ic + qa * MR;
+                    let mr_v = MR.min(mc - qa * MR);
+                    for (qb, bp) in bpack.chunks_exact(k * NR).enumerate() {
+                        let j0 = jc + qb * NR;
+                        let nr_v = NR.min(nc - qb * NR);
+                        let acc = microkernel::microtile::<FUSED>(ap, bp);
+                        microkernel::store_tile(&acc, cd, n, i0, j0, mr_v, nr_v);
+                    }
                 }
             }
         }
-    }
+    });
 }
 
 /// Runs the packed kernel for `variant` into `out` regardless of shape
@@ -273,7 +382,7 @@ pub fn packed_into(variant: GemmVariant, a: &Tensor, b: &Tensor, out: &mut Tenso
     check_out("gemm_packed_into", out, m, n)?;
     out.fill_zero();
     let ((rsa, csa), (rsb, csb)) = variant.strides(m, k, n);
-    gemm_packed(
+    gemm_packed::<true>(
         m,
         k,
         n,
@@ -292,16 +401,9 @@ pub fn packed_into(variant: GemmVariant, a: &Tensor, b: &Tensor, out: &mut Tenso
 mod tests {
     use super::*;
 
+    /// Operands bounded by 10, the magnitude [`fma_tol`] is calibrated for.
     fn rand(dims: [usize; 2], seed: u64) -> Tensor {
-        Tensor::rand_uniform(dims, -1.0, 1.0, seed)
-    }
-
-    /// Tolerance for FMA-vs-separate-rounding drift over a length-`k`
-    /// reduction of roughly unit-magnitude values. A real kernel bug
-    /// (wrong element, missed tile, bad stride) shows up as O(1) error,
-    /// orders of magnitude past this.
-    pub(crate) fn fma_tol(k: usize) -> f32 {
-        1e-4f32.max(k as f32 * 1e-5)
+        Tensor::rand_uniform(dims, -10.0, 10.0, seed)
     }
 
     #[test]

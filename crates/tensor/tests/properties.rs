@@ -2,7 +2,7 @@
 //! must hold for arbitrary shapes and data.
 
 use proptest::prelude::*;
-use reduce_tensor::ops::gemm::{self, GemmVariant};
+use reduce_tensor::ops::gemm::{self, fma_tol, GemmFamily, GemmVariant};
 use reduce_tensor::{ops, Shape, Tensor};
 
 /// Strategy: a randomized GEMM problem size, weighted to include the
@@ -18,13 +18,6 @@ fn gemm_axis() -> impl Strategy<Value = usize> {
 
 fn gemm_dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (gemm_axis(), gemm_axis(), gemm_axis())
-}
-
-/// Tolerance for comparing the fused (FMA) packed kernel against the
-/// separate-rounding naive oracle over a length-`k` reduction of
-/// entries bounded by ~10 (see `gemm` module docs).
-fn fma_tol(k: usize) -> f32 {
-    1e-3f32.max(k as f32 * 1e-4)
 }
 
 /// The three variants with operand tensors generated for a logical
@@ -218,6 +211,41 @@ proptest! {
             let mut naive = Tensor::zeros([m, n]);
             gemm::reference::naive_into(variant, &a, &b, &mut naive).expect("conformable");
             prop_assert_eq!(blocked, naive, "variant {} shape {}x{}x{}", variant.name(), m, k, n);
+        }
+    }
+
+    #[test]
+    fn family_kernels_reproduce_their_family_bit_for_bit(
+        (m, k, n) in gemm_dims(),
+        seed in 0u64..1000,
+        zero_every in 0usize..3,
+    ) {
+        // The register-tiled separate-rounding path behind the blocked
+        // family must reproduce the blocked loops, and the packed family
+        // the packed kernel, on every shape — FAP-style exact zeros in the
+        // left operand included.
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for variant in [GemmVariant::NN, GemmVariant::TN, GemmVariant::NT] {
+            let (mut a, b) = variant_operands(variant, m, k, n, seed);
+            if zero_every > 0 {
+                for v in a.data_mut().iter_mut().step_by(zero_every + 1) {
+                    *v = 0.0;
+                }
+            }
+            for (family, name) in [(GemmFamily::Blocked, "blocked"), (GemmFamily::Packed, "packed")] {
+                let mut got = Tensor::full([m, n], f32::NAN);
+                gemm::gemm_family_into(family, variant, &a, &b, &mut got).expect("conformable");
+                let mut want = Tensor::zeros([m, n]);
+                match family {
+                    GemmFamily::Blocked => gemm::reference::blocked_into(variant, &a, &b, &mut want),
+                    GemmFamily::Packed => gemm::packed_into(variant, &a, &b, &mut want),
+                }
+                .expect("conformable");
+                prop_assert_eq!(
+                    bits(&got), bits(&want),
+                    "{} family, variant {} shape {}x{}x{}", name, variant.name(), m, k, n
+                );
+            }
         }
     }
 

@@ -49,6 +49,13 @@ const HOT_PATH_DIR: &str = "crates/nn/src/layers/";
 /// applies there too — with its own function-name prefixes.
 const GEMM_HOT_DIR: &str = "crates/tensor/src/ops/gemm/";
 
+/// The conv lowering kernels: im2col/col2im in both layouts, the
+/// OC-major products and the layout moves run once per conv layer per
+/// training step, so the hot-path-alloc family covers them too — with
+/// prefixes that take in the `_into` kernels and leave out their
+/// allocating convenience forms (`im2col`, `col2im`, `rows_to_nchw`, …).
+const CONV_HOT_FILE: &str = "crates/tensor/src/ops/conv.rs";
+
 /// The one sanctioned direct-write call site: the atomic temp-file+rename
 /// artifact writer everything else must go through.
 const ATOMIC_WRITER: &str = "crates/core/src/artifact.rs";
@@ -92,6 +99,8 @@ pub fn scope_for_path(rel: &str) -> Scope {
             lints::LAYER_HOT_PREFIXES
         } else if rel.starts_with(GEMM_HOT_DIR) {
             lints::GEMM_HOT_PREFIXES
+        } else if rel == CONV_HOT_FILE {
+            lints::CONV_HOT_PREFIXES
         } else {
             &[]
         },
@@ -271,7 +280,13 @@ mod tests {
             scope_for_path("crates/tensor/src/ops/gemm/mod.rs").hot_path,
             lints::GEMM_HOT_PREFIXES
         );
-        // Sibling ops files outside the kernel directory stay uncovered.
+        // … and to the conv lowering kernels.
+        assert_eq!(
+            scope_for_path("crates/tensor/src/ops/conv.rs").hot_path,
+            lints::CONV_HOT_PREFIXES
+        );
+        // Other sibling ops files outside the kernel directory stay
+        // uncovered.
         assert!(scope_for_path("crates/tensor/src/ops/matmul.rs")
             .hot_path
             .is_empty());

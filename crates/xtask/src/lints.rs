@@ -226,6 +226,19 @@ pub const LAYER_HOT_PREFIXES: &[&str] = &["forward", "backward"];
 /// (`micro*`) all run inside the innermost matmul loops.
 pub const GEMM_HOT_PREFIXES: &[&str] = &["gemm", "pack", "micro"];
 
+/// Hot-function prefixes for the conv lowering file: the `_into` im2col
+/// and col2im kernels of both layouts, the tap-major products and layout
+/// moves (`conv2d_*`) and the position-major layout moves. The trailing
+/// underscores keep the allocating forms (`im2col`, `col2im`,
+/// `rows_to_nchw`, `nchw_to_rows`) out of scope.
+pub const CONV_HOT_PREFIXES: &[&str] = &[
+    "im2col_",
+    "col2im_",
+    "conv2d_",
+    "rows_to_nchw_",
+    "nchw_to_rows_",
+];
+
 /// Which lint families apply to a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scope {
@@ -238,7 +251,8 @@ pub struct Scope {
     /// Function-name prefixes whose bodies the hot-path-alloc family
     /// covers (empty slice = family off for this file). Layer files use
     /// [`LAYER_HOT_PREFIXES`]; the GEMM kernel directory uses
-    /// [`GEMM_HOT_PREFIXES`].
+    /// [`GEMM_HOT_PREFIXES`]; the conv lowering file uses
+    /// [`CONV_HOT_PREFIXES`].
     pub hot_path: &'static [&'static str],
     /// Enforce the artifact-io family (atomic artifact writes only).
     pub artifact_io: bool,
