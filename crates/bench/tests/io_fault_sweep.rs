@@ -12,7 +12,9 @@
 //! * the resumed redacted artifacts are byte-identical to an
 //!   uninterrupted reference run;
 //! * an index past the run's op count leaves the run untouched and
-//!   prints the `io-fault: unfired` marker.
+//!   prints the `io-fault: unfired` marker;
+//! * a version-1/2 journal is refused by `journal-tool` and
+//!   `fig2 --resume` with the unsupported-version error, untouched.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -174,5 +176,71 @@ fn sampled_fault_points_crash_verify_and_resume_byte_identically() {
         );
     }
 
+    fs::remove_dir_all(&root).ok();
+}
+
+/// Every file in `dir` with its bytes, sorted by path.
+fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(dir)
+        .expect("list dir")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let bytes = fs::read(&path).expect("read file");
+            (path, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn pre_v3_journals_are_refused_without_modification() {
+    let root = scratch_dir("pre-v3");
+    let record = "{\"kind\":\"point_failed\",\"job\":0,\"rate_index\":0,\"rate\":0.1,\
+                  \"repeat\":0,\"attempts\":1,\"error\":\"x\",\"events\":[]}\n";
+    // Version 1: one header-prefixed file; version 2: a bare JSON
+    // manifest beside unframed shard files.
+    let v1 = root.join("v1");
+    fs::create_dir_all(&v1).expect("create v1 dir");
+    fs::write(
+        v1.join("journal.jsonl"),
+        format!("{{\"journal\":\"reduce-journal\",\"version\":1}}\n{record}"),
+    )
+    .expect("write v1 journal");
+    let v2 = root.join("v2");
+    fs::create_dir_all(&v2).expect("create v2 dir");
+    fs::write(
+        v2.join("journal.jsonl"),
+        "{\"journal\":\"reduce-journal\",\"version\":2,\"shard_records\":2}\n",
+    )
+    .expect("write v2 manifest");
+    fs::write(v2.join("journal-00000.jsonl"), record).expect("write v2 shard");
+
+    for (dir, version) in [(&v1, 1), (&v2, 2)] {
+        let path = dir.to_str().expect("utf-8 path");
+        let before = snapshot(dir);
+        let message = format!("format version {version}");
+        for command in ["verify", "repair"] {
+            let out = run(JOURNAL_TOOL, &[command, path]);
+            assert_eq!(code(&out), 1, "v{version} {command}: {}", stderr(&out));
+            assert!(
+                stderr(&out).contains(&message) && stderr(&out).contains("delete it and rerun"),
+                "v{version} {command}: missing refusal message: {}",
+                stderr(&out)
+            );
+        }
+        let resumed = fig2(&["--resume", path]);
+        assert_ne!(code(&resumed), 0, "v{version}: fig2 --resume must fail");
+        assert!(
+            stderr(&resumed).contains("delete it and rerun"),
+            "v{version}: fig2 --resume gave the wrong error: {}",
+            stderr(&resumed)
+        );
+        assert_eq!(
+            snapshot(dir),
+            before,
+            "v{version}: the refused journal directory must stay byte-identical"
+        );
+    }
     fs::remove_dir_all(&root).ok();
 }

@@ -387,72 +387,8 @@ impl FatRunner {
         strategy: Mitigation,
         run_seed: u64,
     ) -> Result<FatOutcome> {
-        self.run_observed(
-            pretrained,
-            fault_map,
-            max_epochs,
-            stop,
-            strategy,
-            run_seed,
-            &mut |_, _| {},
-        )
-    }
-
-    /// [`FatRunner::run`] with an epoch tick: `on_epoch(epoch, accuracy)`
-    /// is called after each completed retraining epoch (1-based), which is
-    /// how the telemetry layer's `EpochCompleted` events originate. The
-    /// callback cannot influence the run — results are identical to
-    /// [`FatRunner::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates training/evaluation errors.
-    #[allow(clippy::too_many_arguments)] // mirrors `run` plus the tick
-    pub fn run_observed(
-        &self,
-        pretrained: &Pretrained,
-        fault_map: &FaultMap,
-        max_epochs: usize,
-        stop: StopRule,
-        strategy: Mitigation,
-        run_seed: u64,
-        on_epoch: &mut dyn FnMut(usize, f32),
-    ) -> Result<FatOutcome> {
-        self.run_inner(
+        self.run_from(
             &pretrained.state,
-            fault_map,
-            max_epochs,
-            stop,
-            strategy,
-            run_seed,
-            None,
-            on_epoch,
-        )
-    }
-
-    /// Runs fault-aware retraining *warm-started* from an arbitrary state
-    /// dict (eFAT: a cluster representative's converged
-    /// [`FatOutcome::final_state`]) instead of the pretrained baseline.
-    ///
-    /// Semantics otherwise match [`FatRunner::run`]; with
-    /// [`StopRule::AtAccuracy`] a member whose warm-started accuracy
-    /// already meets the constraint spends zero retraining epochs — the
-    /// source of eFAT's aggregate savings.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training/evaluation errors.
-    pub fn run_warm(
-        &self,
-        base_state: &[(String, Tensor)],
-        fault_map: &FaultMap,
-        max_epochs: usize,
-        stop: StopRule,
-        strategy: Mitigation,
-        run_seed: u64,
-    ) -> Result<FatOutcome> {
-        self.run_inner(
-            base_state,
             fault_map,
             max_epochs,
             stop,
@@ -463,87 +399,34 @@ impl FatRunner {
         )
     }
 
-    /// [`FatRunner::run_warm`] with a shared workspace pool and an epoch
-    /// tick — the warm-start analogue of
-    /// [`FatRunner::run_pooled_observed`], used by the clustered fleet
-    /// scheduler for member chips.
+    /// The general form of [`FatRunner::run`], which it wraps.
+    ///
+    /// * `base_state` is the state dict retraining starts from: the
+    ///   pretrained baseline's [`Pretrained::state`], or — for eFAT warm
+    ///   starts — a cluster representative's converged
+    ///   [`FatOutcome::final_state`]. With [`StopRule::AtAccuracy`] a
+    ///   member whose warm-started accuracy already meets the constraint
+    ///   spends zero retraining epochs, the source of eFAT's savings.
+    /// * `pool`, when given, is a caller-owned workspace arena swapped into
+    ///   the model for the run and back out before returning: the
+    ///   epoch-budget scheduler runs a whole batch of same-budget chips
+    ///   through one pool, so only the first chip pays the warm-up
+    ///   allocations. The chip's allocation traffic accumulates into the
+    ///   pool's counters, leaving [`FatOutcome::workspace`] at zero; the
+    ///   caller reads the batch total from [`reduce_nn::Workspace::stats`].
+    ///   Recycled buffers are zeroed on `take`, so accuracy results are
+    ///   bit-identical to an unpooled run. If the run fails (divergence,
+    ///   injected chaos) the swapped-in arena is dropped with the model and
+    ///   the pool is left empty; the next chip simply warms it up again.
+    /// * `on_epoch(epoch, accuracy)` is called after each completed
+    ///   retraining epoch (1-based) — the origin of the telemetry layer's
+    ///   `EpochCompleted` events. It cannot influence the run.
     ///
     /// # Errors
     ///
     /// Propagates training/evaluation errors.
-    #[allow(clippy::too_many_arguments)] // mirrors `run_pooled_observed`
-    pub fn run_warm_pooled_observed(
-        &self,
-        base_state: &[(String, Tensor)],
-        fault_map: &FaultMap,
-        max_epochs: usize,
-        stop: StopRule,
-        strategy: Mitigation,
-        run_seed: u64,
-        pool: &mut Workspace,
-        on_epoch: &mut dyn FnMut(usize, f32),
-    ) -> Result<FatOutcome> {
-        self.run_inner(
-            base_state,
-            fault_map,
-            max_epochs,
-            stop,
-            strategy,
-            run_seed,
-            Some(pool),
-            on_epoch,
-        )
-    }
-
-    /// [`FatRunner::run_observed`] sharing a caller-owned workspace arena:
-    /// the epoch-budget scheduler runs a whole batch of same-budget chips
-    /// through one pool, so only the first chip of a batch pays the
-    /// warm-up allocations and every later chip trains entirely from
-    /// recycled buffers.
-    ///
-    /// The pool is swapped into the model for the duration of the run and
-    /// swapped back out before returning, with all the chip's allocation
-    /// traffic accumulated into the pool's counters — so
-    /// [`FatOutcome::workspace`] is left at zero and the caller reads the
-    /// batch total from [`reduce_nn::Workspace::stats`] once per batch.
-    /// Accuracy results are bit-identical to the unpooled runner:
-    /// recycled buffers are zeroed on `take`, so numerics never observe
-    /// the pool.
-    ///
-    /// If the run fails (divergence, injected chaos) the model — holding
-    /// the swapped-in arena — is dropped with it, and the pool is left
-    /// holding an empty arena; the next chip in the batch simply warms it
-    /// up again. The loss is deterministic because failures are.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training/evaluation errors.
-    #[allow(clippy::too_many_arguments)] // mirrors `run_observed` plus the pool
-    pub fn run_pooled_observed(
-        &self,
-        pretrained: &Pretrained,
-        fault_map: &FaultMap,
-        max_epochs: usize,
-        stop: StopRule,
-        strategy: Mitigation,
-        run_seed: u64,
-        pool: &mut Workspace,
-        on_epoch: &mut dyn FnMut(usize, f32),
-    ) -> Result<FatOutcome> {
-        self.run_inner(
-            &pretrained.state,
-            fault_map,
-            max_epochs,
-            stop,
-            strategy,
-            run_seed,
-            Some(pool),
-            on_epoch,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
+    #[allow(clippy::too_many_arguments)] // `run`'s arguments plus state, pool and tick
+    pub fn run_from(
         &self,
         base_state: &[(String, Tensor)],
         fault_map: &FaultMap,
@@ -950,7 +833,16 @@ mod tests {
         // A zero-epoch warm run on the same fault map re-evaluates the
         // representative's converged state exactly.
         let warm = runner
-            .run_warm(&rep.final_state, &m, 0, StopRule::Exact, Mitigation::Fap, 1)
+            .run_from(
+                &rep.final_state,
+                &m,
+                0,
+                StopRule::Exact,
+                Mitigation::Fap,
+                1,
+                None,
+                &mut |_, _| {},
+            )
             .expect("valid run");
         assert_eq!(
             warm.pre_retrain_accuracy,
@@ -980,13 +872,15 @@ mod tests {
             .expect("valid run");
         let constraint = rep.final_accuracy() - 0.01;
         let member = runner
-            .run_warm(
+            .run_from(
                 &rep.final_state,
                 &m,
                 6,
                 StopRule::AtAccuracy(constraint),
                 Mitigation::Fap,
                 2,
+                None,
+                &mut |_, _| {},
             )
             .expect("valid run");
         assert_eq!(

@@ -45,18 +45,18 @@
 //! disagrees with the manifest (every record may verify individually, but
 //! the content is not what the manifest committed to — repair adopts it
 //! and recomputes the digest), and an unreadable manifest whose shard
-//! files contain no v3-framed line at all (a corrupted v1/v2 journal, or
-//! not a journal — never adopted and truncated as an empty v3 one).
-//! Resume never panics on journal bytes and never replays a record that
-//! fails verification.
+//! files contain no v3-framed line at all (a pre-v3 journal with a
+//! damaged header, or not a journal — never adopted and truncated as an
+//! empty v3 one). Resume never panics on journal bytes and never replays
+//! a record that fails verification.
 //!
-//! Version-1 journals (a single header-prefixed file rewritten whole on
-//! every append) and version-2 journals (unframed shards) are still read,
-//! healed, and extended transparently in their own layouts: resume
-//! detects the header and keeps the journal in the format it was created
-//! with. For v1/v2, record validity means "parses as a journal record" —
-//! a bitflip that keeps the JSON valid is undetectable there, which is
-//! precisely why v3 adds the CRC framing.
+//! Version 3 is the only format read. A journal whose first line is a
+//! version-1 (single header-prefixed file) or version-2 (unframed shards)
+//! header is refused by resume, [`inspect_journal`], and
+//! [`repair_journal`] alike with one typed [`ReduceError::InvalidConfig`]
+//! asking the operator to delete it and rerun; none of them writes to
+//! it. Journals are resumable run scratch, not archives, and the older
+//! layouts cannot detect a bitflip that keeps the JSON valid.
 //!
 //! On `--resume`, [`Checkpoint::resume`] reloads the journal and the
 //! resumable entry points ([`crate::ResilienceAnalysis::run_resumable`],
@@ -81,16 +81,10 @@ use reduce_systolic::Cluster;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-const V1_HEADER: &str = "{\"journal\":\"reduce-journal\",\"version\":1}\n";
-
 /// Default records per shard segment: large enough that a shard rewrite
 /// stays one buffered write, small enough that per-append I/O is trivially
 /// bounded even for million-chip journals.
 pub const DEFAULT_SHARD_RECORDS: usize = 256;
-
-fn render_manifest(shard_records: usize) -> String {
-    format!("{{\"journal\":\"reduce-journal\",\"version\":2,\"shard_records\":{shard_records}}}\n")
-}
 
 /// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial), bit-reflected. A
 /// hand-rolled bitwise implementation: journal lines are short and shard
@@ -239,37 +233,6 @@ pub enum JournalRecord {
         /// The cell's failure telemetry, in emission order.
         events: Vec<Event>,
     },
-    /// A successfully retrained chip.
-    Chip {
-        /// Stable job id (the chip id).
-        job: u64,
-        /// Label of the policy the chip was retrained under (one journal
-        /// can hold several policies' outcomes, as `fig3` sweeps them).
-        policy: String,
-        /// The chip's outcome.
-        outcome: ChipOutcome,
-        /// The chip's model-workspace counters.
-        workspace: WorkspaceStats,
-        /// The chip's buffered telemetry events, in emission order.
-        events: Vec<Event>,
-    },
-    /// A chip that exhausted its retry budget.
-    ChipFailed {
-        /// Stable job id (the chip id).
-        job: u64,
-        /// Label of the policy the chip was retrained under.
-        policy: String,
-        /// The quarantined chip's id.
-        chip_id: usize,
-        /// The quarantined chip's fault rate.
-        fault_rate: f64,
-        /// Attempts consumed (budget + 1).
-        attempts: u32,
-        /// The final attempt's error.
-        error: String,
-        /// The chip's failure telemetry, in emission order.
-        events: Vec<Event>,
-    },
     /// One sealed batch of the streaming fleet evaluator: every chip the
     /// epoch-budget scheduler ran through one shared workspace, with the
     /// batch's pooled workspace counters and buffered telemetry. The
@@ -286,8 +249,7 @@ pub enum JournalRecord {
         /// Chunk index within the window's budget group.
         chunk: usize,
         /// Fault-similarity clusters the batch formed (empty for per-chip
-        /// runs and for records written before the eFAT extension — the
-        /// parser defaults the field, so v2 journals stay readable).
+        /// runs).
         clusters: Vec<Cluster>,
         /// Sealed per-chip fates, in ascending chip-id order.
         chips: Vec<SealedChip>,
@@ -306,20 +268,6 @@ impl JournalRecord {
             JournalRecord::PointFailed {
                 rate_index, repeat, ..
             } => Some((*rate_index, *repeat)),
-            _ => None,
-        }
-    }
-
-    /// `(policy label, chip id)` for per-chip records (the version-1
-    /// fleet journal granularity).
-    pub fn chip_key(&self) -> Option<(&str, usize)> {
-        match self {
-            JournalRecord::Chip {
-                policy, outcome, ..
-            } => Some((policy.as_str(), outcome.chip_id)),
-            JournalRecord::ChipFailed {
-                policy, chip_id, ..
-            } => Some((policy.as_str(), *chip_id)),
             _ => None,
         }
     }
@@ -352,43 +300,19 @@ pub struct IoStats {
     pub max_append_bytes: u64,
 }
 
-/// On-disk layout of a journal.
-enum Store {
-    /// Legacy version 1: header plus every record in one atomically
-    /// rewritten file.
-    Single {
-        /// Rendered record lines, each newline-terminated.
-        lines: Vec<String>,
-    },
-    /// Legacy version 2: a one-line manifest at the journal path, unframed
-    /// records in fixed-size shard segments beside it.
-    Sharded {
-        /// Records per shard segment.
-        shard_records: usize,
-        /// Whether the manifest file exists on disk yet (it is written
-        /// lazily with the first append).
-        manifest_written: bool,
-        /// Fully sealed shard files on disk; the active shard has this
-        /// index.
-        sealed_shards: usize,
-        /// Rendered lines of the active (partial) shard.
-        active: Vec<String>,
-    },
-    /// Version 3: CRC-framed lines, footered shards, digest-bearing
-    /// manifest.
-    Sharded3 {
-        /// Records per shard segment.
-        shard_records: usize,
-        /// Whether the manifest file exists on disk yet (it is written
-        /// lazily with the first append).
-        manifest_written: bool,
-        /// Whole-file digest of each sealed shard, in shard order; the
-        /// active shard's index is `sealed.len()`.
-        sealed: Vec<String>,
-        /// Framed lines of the active (partial) shard, exactly as on
-        /// disk.
-        active: Vec<String>,
-    },
+/// On-disk layout of a (version 3) journal: CRC-framed lines, footered
+/// shards, digest-bearing manifest.
+struct Store {
+    /// Records per shard segment.
+    shard_records: usize,
+    /// Whether the manifest file exists on disk yet (it is written lazily
+    /// with the first append).
+    manifest_written: bool,
+    /// Whole-file digest of each sealed shard, in shard order; the active
+    /// shard's index is `sealed.len()`.
+    sealed: Vec<String>,
+    /// Framed lines of the active (partial) shard, exactly as on disk.
+    active: Vec<String>,
 }
 
 struct CheckpointState {
@@ -400,8 +324,7 @@ struct CheckpointState {
 }
 
 /// An append-only journal of sealed job outcomes backed by an atomically
-/// maintained manifest-plus-shards layout (or, for resumed version-1
-/// journals, one whole-file-rewritten `journal.jsonl`).
+/// maintained manifest-plus-shards layout.
 ///
 /// Appends are serialised through an internal mutex, so a `Checkpoint` can
 /// be shared by the executor's worker threads (the `on_sealed` hook of
@@ -428,7 +351,7 @@ impl Checkpoint {
             path: path.to_path_buf(),
             state: Mutex::new(CheckpointState {
                 records: Vec::new(),
-                store: Store::Sharded3 {
+                store: Store {
                     shard_records: DEFAULT_SHARD_RECORDS,
                     manifest_written: false,
                     sealed: Vec::new(),
@@ -443,28 +366,15 @@ impl Checkpoint {
 
     /// Overrides the records-per-shard size of a fresh journal. Must be
     /// called before the first append; ignored once the manifest is on
-    /// disk (resumed journals keep the shard size they were created with)
-    /// and for legacy single-file journals. Zero is ignored.
+    /// disk (resumed journals keep the shard size they were created with).
+    /// Zero is ignored.
     #[must_use]
     pub fn with_shard_records(self, n: usize) -> Self {
         if n > 0 {
             if let Ok(mut state) = self.state.lock() {
-                match &mut state.store {
-                    Store::Sharded {
-                        shard_records,
-                        manifest_written: false,
-                        active,
-                        ..
-                    }
-                    | Store::Sharded3 {
-                        shard_records,
-                        manifest_written: false,
-                        active,
-                        ..
-                    } if active.is_empty() => {
-                        *shard_records = n;
-                    }
-                    _ => {}
+                let store = &mut state.store;
+                if !store.manifest_written && store.active.is_empty() {
+                    store.shard_records = n;
                 }
             }
         }
@@ -472,10 +382,9 @@ impl Checkpoint {
     }
 
     /// Reloads the journal at `path`; a missing file is an empty journal
-    /// (resuming a run that was killed before its first checkpoint). A
-    /// version-1 header keeps the journal in the legacy single-file
-    /// layout; a version-2 manifest loads every unframed shard segment; a
-    /// version-3 manifest verifies frames, footers, and digests.
+    /// (resuming a run that was killed before its first checkpoint). The
+    /// version-3 manifest is verified along with every shard's frames,
+    /// footers, and digests.
     ///
     /// Healable tail damage is truncated away silently — use
     /// [`Checkpoint::resume_observed`] to watch it happen.
@@ -488,7 +397,7 @@ impl Checkpoint {
     /// explicitly), when a sealed shard's content digest disagrees with
     /// the manifest, or when nothing in the directory is recognisably a
     /// v3 journal; [`ReduceError::InvalidConfig`] for an unreadable file
-    /// or an unrecognised v1/v2 header.
+    /// or a version-1/2 journal, which is left untouched.
     pub fn resume(path: &Path) -> Result<Self> {
         Self::resume_observed(path, &NullObserver)
     }
@@ -558,8 +467,7 @@ impl Checkpoint {
     }
 
     /// Appends one sealed outcome, atomically rewriting only the active
-    /// shard (or, for legacy journals, the whole file) so the on-disk
-    /// journal is complete after every append.
+    /// shard so the on-disk journal is complete after every append.
     ///
     /// # Errors
     ///
@@ -571,73 +479,36 @@ impl Checkpoint {
         let line = render_record(&record);
         state.records.push(record);
         let mut bytes: u64 = 0;
-        match &mut state.store {
-            Store::Single { lines } => {
-                lines.push(line);
-                let mut contents = String::with_capacity(
-                    V1_HEADER.len() + lines.iter().map(String::len).sum::<usize>(),
-                );
-                contents.push_str(V1_HEADER);
-                for l in lines.iter() {
-                    contents.push_str(l);
-                }
-                bytes += contents.len() as u64;
-                write_atomic(&self.path, &contents)?;
-            }
-            Store::Sharded {
-                shard_records,
-                manifest_written,
-                sealed_shards,
-                active,
-            } => {
-                if !*manifest_written {
-                    let manifest = render_manifest(*shard_records);
-                    bytes += manifest.len() as u64;
-                    write_atomic(&self.path, &manifest)?;
-                    *manifest_written = true;
-                }
-                active.push(line);
-                let contents = active.concat();
-                bytes += contents.len() as u64;
-                write_atomic(&shard_path(&self.path, *sealed_shards), &contents)?;
-                if active.len() >= *shard_records {
-                    *sealed_shards += 1;
-                    active.clear();
-                }
-            }
-            Store::Sharded3 {
-                shard_records,
-                manifest_written,
-                sealed,
-                active,
-            } => {
-                if !*manifest_written {
-                    let manifest = render_manifest_v3(*shard_records, sealed);
-                    bytes += manifest.len() as u64;
-                    write_atomic(&self.path, &manifest)?;
-                    *manifest_written = true;
-                }
-                active.push(frame_line(line.trim_end()));
-                if active.len() >= *shard_records {
-                    // Seal: the footered shard goes to disk *before* the
-                    // manifest that names its digest — a crash between
-                    // the two leaves a footered shard resume detects and
-                    // adopts without data loss.
-                    let mut contents = active.concat();
-                    contents.push_str(&render_footer(active.len()));
-                    bytes += contents.len() as u64;
-                    write_atomic(&shard_path(&self.path, sealed.len()), &contents)?;
-                    sealed.push(shard_digest(&contents));
-                    active.clear();
-                    let manifest = render_manifest_v3(*shard_records, sealed);
-                    bytes += manifest.len() as u64;
-                    write_atomic(&self.path, &manifest)?;
-                } else {
-                    let contents = active.concat();
-                    bytes += contents.len() as u64;
-                    write_atomic(&shard_path(&self.path, sealed.len()), &contents)?;
-                }
-            }
+        let Store {
+            shard_records,
+            manifest_written,
+            sealed,
+            active,
+        } = &mut state.store;
+        if !*manifest_written {
+            let manifest = render_manifest_v3(*shard_records, sealed);
+            bytes += manifest.len() as u64;
+            write_atomic(&self.path, &manifest)?;
+            *manifest_written = true;
+        }
+        active.push(frame_line(line.trim_end()));
+        if active.len() >= *shard_records {
+            // Seal: the footered shard goes to disk *before* the manifest
+            // that names its digest — a crash between the two leaves a
+            // footered shard resume detects and adopts without data loss.
+            let mut contents = active.concat();
+            contents.push_str(&render_footer(active.len()));
+            bytes += contents.len() as u64;
+            write_atomic(&shard_path(&self.path, sealed.len()), &contents)?;
+            sealed.push(shard_digest(&contents));
+            active.clear();
+            let manifest = render_manifest_v3(*shard_records, sealed);
+            bytes += manifest.len() as u64;
+            write_atomic(&self.path, &manifest)?;
+        } else {
+            let contents = active.concat();
+            bytes += contents.len() as u64;
+            write_atomic(&shard_path(&self.path, sealed.len()), &contents)?;
         }
         state.appended += 1;
         state.io.appends += 1;
@@ -658,22 +529,7 @@ impl Checkpoint {
     }
 }
 
-fn parse_manifest(header: &str) -> Option<usize> {
-    let value = parse(header).ok()?;
-    if value.field("journal").and_then(JsonValue::as_str) != Some("reduce-journal") {
-        return None;
-    }
-    if value.field("version").and_then(JsonValue::as_u64) != Some(2) {
-        return None;
-    }
-    value
-        .field("shard_records")
-        .and_then(JsonValue::as_usize)
-        .filter(|&n| n > 0)
-}
-
-/// Read-only verification scan of one shard file (or, for v1, the whole
-/// record section of the single journal file).
+/// Read-only verification scan of one shard file.
 struct ShardScan {
     /// Whether the file exists (`false` only for manifest-named shards
     /// whose file is gone).
@@ -682,7 +538,7 @@ struct ShardScan {
     bytes: usize,
     /// The valid record prefix: `(on-disk line incl. newline, record)`.
     valid: Vec<(String, JournalRecord)>,
-    /// v3: footer record-count, when a well-formed footer follows the
+    /// Footer record-count, when a well-formed footer follows the
     /// valid prefix.
     footer: Option<usize>,
     /// First damage: `(record index, kind)`. Record index equals the
@@ -691,12 +547,12 @@ struct ShardScan {
     /// Fully valid record lines found *after* the damage — if nonzero,
     /// truncation would discard completed work (corrupt middle).
     valid_after: usize,
-    /// Cleanly sealed (v3: footer verifies; v2: holds a full shard).
+    /// Cleanly sealed (the footer verifies).
     sealed: bool,
-    /// v3: footered but absent from the manifest (crash between the
+    /// Footered but absent from the manifest (crash between the
     /// shard seal and the manifest update) — healed by adding its digest.
     needs_manifest_entry: bool,
-    /// v3: the manifest's digest disagrees with an otherwise-valid sealed
+    /// The manifest's digest disagrees with an otherwise-valid sealed
     /// shard. The append path's ordered seal protocol never leaves this
     /// behind (the footered shard reaches disk *before* the manifest
     /// names it), so the content is not what the manifest committed to —
@@ -706,13 +562,13 @@ struct ShardScan {
     /// shard and recomputes the digest (per-record CRCs are
     /// authoritative).
     digest_mismatch: bool,
-    /// v3: lines whose `CRC LEN payload` frame structure parsed (CRC
-    /// match or not). Zero across a contentful directory means the files
-    /// are not recognisably v3 at all — e.g. a v1/v2 journal whose
-    /// manifest first byte was corrupted — and must not be adopted (and
-    /// truncated) as a v3 journal.
+    /// Lines whose `CRC LEN payload` frame structure parsed (CRC match or
+    /// not). Zero across a contentful directory means the files are not
+    /// recognisably v3 at all — e.g. a v2 journal whose manifest first
+    /// byte was corrupted — and must not be adopted (and truncated) as a
+    /// v3 journal.
     framed_lines: usize,
-    /// v3: whole-file CRC-32 digest, as eight hex digits.
+    /// Whole-file CRC-32 digest, as eight hex digits.
     digest: String,
 }
 
@@ -830,37 +686,10 @@ fn scan_v3_shard(bytes: &[u8]) -> ShardScan {
     scan
 }
 
-/// Scans one v2 shard (or the v1 record section): unframed JSON record
-/// lines, blank lines skipped (v1/v2 never wrote them, but always
-/// tolerated them).
-fn scan_v2_shard(bytes: &[u8]) -> ShardScan {
-    let mut scan = ShardScan::empty(true, bytes.len());
-    for raw in split_file_lines(bytes) {
-        let parsed = match std::str::from_utf8(raw) {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => parse_record(line).ok().map(|r| (line, r)),
-            Err(_) => None,
-        };
-        match (&scan.damage, parsed) {
-            (None, Some((line, r))) => scan.valid.push((format!("{line}\n"), r)),
-            (None, None) => {
-                scan.damage = Some((scan.valid.len(), CorruptKind::BadRecord));
-            }
-            (Some(_), parsed) => {
-                if parsed.is_some() {
-                    scan.valid_after += 1;
-                }
-            }
-        }
-    }
-    scan
-}
-
 /// The full verification scan [`Checkpoint::resume_observed`],
 /// [`inspect_journal`], and [`repair_journal`] share.
 struct JournalScan {
-    version: u8,
-    /// Records per shard (0 for v1).
+    /// Records per shard.
     shard_records: usize,
     /// Number of sealed digests the v3 manifest names.
     manifest_sealed: usize,
@@ -883,8 +712,9 @@ impl JournalScan {
     /// sealed shard, valid records after the damage point, a sealed
     /// shard whose content digest disagrees with the manifest, or a
     /// manifest that is unreadable with no v3-framed shard content to
-    /// rebuild it from — a corrupted v1/v2 journal (or a non-journal)
-    /// must never be adopted, and truncated, as an empty v3 one.
+    /// rebuild it from — a pre-v3 journal with a damaged header (or a
+    /// non-journal) must never be adopted, and truncated, as an empty v3
+    /// one.
     fn corrupt_error(&self) -> Result<()> {
         if self.manifest_damage.is_some() && self.shards.iter().all(|s| s.framed_lines == 0) {
             return Err(ReduceError::JournalCorrupt {
@@ -971,18 +801,14 @@ fn last_shard_on_disk(manifest: &Path) -> Option<usize> {
 /// by explicit repair) instead of being silently ignored and eventually
 /// overwritten by the writer. Trailing placeholders and empty files
 /// beyond the named range are harmless and dropped from the scan.
-fn scan_shard_files(path: &Path, named: usize, v3: bool) -> Result<Vec<ShardScan>> {
+fn scan_shard_files(path: &Path, named: usize) -> Result<Vec<ShardScan>> {
     let last_on_disk = last_shard_on_disk(path);
     let mut shards = Vec::new();
     let mut index = 0;
     while index < named || last_on_disk.is_some_and(|last| index <= last) {
         let shard = shard_path(path, index);
         match std::fs::read(&shard) {
-            Ok(bytes) => shards.push(if v3 {
-                scan_v3_shard(&bytes)
-            } else {
-                scan_v2_shard(&bytes)
-            }),
+            Ok(bytes) => shards.push(scan_v3_shard(&bytes)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 shards.push(ShardScan::missing());
             }
@@ -1020,13 +846,28 @@ fn mark_orphans(shards: &mut [ShardScan]) {
     }
 }
 
+/// The format version a pre-v3 journal declares: `Some(1 | 2)` when the
+/// manifest's first line is a bare `reduce-journal` JSON header of a
+/// retired layout.
+fn pre_v3_version(manifest_bytes: &[u8]) -> Option<u64> {
+    let first = manifest_bytes.split(|&b| b == b'\n').next()?;
+    let value = parse(std::str::from_utf8(first).ok()?).ok()?;
+    if value.field("journal").and_then(JsonValue::as_str) != Some("reduce-journal") {
+        return None;
+    }
+    value
+        .field("version")
+        .and_then(JsonValue::as_u64)
+        .filter(|v| matches!(v, 1 | 2))
+}
+
 /// Scans the journal at `path`. `Ok(None)` means the journal file does
 /// not exist (an empty journal).
 ///
 /// # Errors
 ///
-/// [`ReduceError::InvalidConfig`] for filesystem read failures and for
-/// unrecognised v1/v2-style (`{`-headed) files.
+/// [`ReduceError::InvalidConfig`] for filesystem read failures and for a
+/// version-1/2 journal, refused before anything else is read.
 fn scan_journal(path: &Path) -> Result<Option<JournalScan>> {
     let manifest_bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
@@ -1037,49 +878,16 @@ fn scan_journal(path: &Path) -> Result<Option<JournalScan>> {
             })
         }
     };
-    if manifest_bytes.first() == Some(&b'{') {
-        // v1 or v2: both start with a bare JSON header line. Lossy UTF-8
-        // only alters damaged bytes — valid lines pass through untouched.
-        let text = String::from_utf8_lossy(&manifest_bytes);
-        let (header, rest) = match text.split_once('\n') {
-            Some((header, rest)) => (header, rest),
-            None => (text.as_ref(), ""),
-        };
-        if format!("{header}\n") == V1_HEADER {
-            let mut shard = scan_v2_shard(rest.as_bytes());
-            shard.bytes = manifest_bytes.len();
-            return Ok(Some(JournalScan {
-                version: 1,
-                shard_records: 0,
-                manifest_sealed: 0,
-                manifest_damage: None,
-                manifest_bytes: 0,
-                shards: vec![shard],
-            }));
-        }
-        let shard_records = parse_manifest(header).ok_or_else(|| ReduceError::InvalidConfig {
+    if let Some(version) = pre_v3_version(&manifest_bytes) {
+        return Err(ReduceError::InvalidConfig {
             what: format!(
-                "unrecognised journal header {header:?} in {}",
+                "journal {} is format version {version}, which is no longer supported \
+                 (only version 3 is read); delete it and rerun",
                 path.display()
             ),
-        })?;
-        let mut shards = scan_shard_files(path, 0, false)?;
-        for shard in &mut shards {
-            if shard.exists && shard.damage.is_none() && shard.valid.len() >= shard_records {
-                shard.sealed = true;
-            }
-        }
-        mark_orphans(&mut shards);
-        return Ok(Some(JournalScan {
-            version: 2,
-            shard_records,
-            manifest_sealed: 0,
-            manifest_damage: None,
-            manifest_bytes: manifest_bytes.len(),
-            shards,
-        }));
+        });
     }
-    // v3: a framed manifest line.
+    // A framed manifest line.
     let manifest = std::str::from_utf8(&manifest_bytes).ok().and_then(|text| {
         let (first, rest) = text.split_once('\n').unwrap_or((text, ""));
         if !rest.trim().is_empty() {
@@ -1091,7 +899,7 @@ fn scan_journal(path: &Path) -> Result<Option<JournalScan>> {
         Some((shard_records, digests)) => (shard_records, digests, None),
         None => (0, Vec::new(), Some(CorruptKind::Manifest)),
     };
-    let mut shards = scan_shard_files(path, digests.len(), true)?;
+    let mut shards = scan_shard_files(path, digests.len())?;
     for (i, shard) in shards.iter_mut().enumerate() {
         if !shard.exists || shard.damage.is_some() {
             continue;
@@ -1121,7 +929,6 @@ fn scan_journal(path: &Path) -> Result<Option<JournalScan>> {
             .unwrap_or(DEFAULT_SHARD_RECORDS);
     }
     Ok(Some(JournalScan {
-        version: 3,
         shard_records,
         manifest_sealed: digests.len(),
         manifest_damage,
@@ -1146,7 +953,6 @@ struct HealedLayout {
 /// unconditionally.
 fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Result<HealedLayout> {
     let JournalScan {
-        version,
         shard_records,
         manifest_sealed,
         manifest_damage,
@@ -1159,49 +965,7 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
     let mut dropped_records = 0usize;
     let mut dropped_bytes = 0usize;
 
-    if version == 1 {
-        let Some(shard) = shards.into_iter().next() else {
-            return Err(ReduceError::Internal {
-                invariant: "a v1 scan always carries one pseudo-shard".to_string(),
-            });
-        };
-        let dropped_slots = shard.dropped_record_slots();
-        let mut lines = Vec::with_capacity(shard.valid.len());
-        for (line, record) in shard.valid {
-            lines.push(line);
-            records.push(record);
-        }
-        if shard.damage.is_some() {
-            let mut contents = String::from(V1_HEADER);
-            for line in &lines {
-                contents.push_str(line);
-            }
-            write_atomic(path, &contents)?;
-            let dropped = shard.bytes.saturating_sub(contents.len());
-            observer.on_event(&Event::ShardTruncated {
-                shard: 0,
-                kept: lines.len(),
-                dropped_bytes: dropped,
-            });
-            for record in lines.len()..lines.len() + dropped_slots {
-                observer.on_event(&Event::RecordDropped { shard: 0, record });
-            }
-            dropped_records += shard.valid_after;
-            dropped_bytes += dropped;
-        }
-        let kept = records.len();
-        return Ok(HealedLayout {
-            records,
-            store: Store::Single { lines },
-            kept,
-            dropped_records,
-            dropped_bytes,
-        });
-    }
-
-    let v3 = version == 3;
     let mut sealed_digests: Vec<String> = Vec::new();
-    let mut sealed_shards = 0usize;
     let mut active: Vec<String> = Vec::new();
     let mut manifest_dirty = manifest_damage.is_some();
     for (i, shard) in shards.into_iter().enumerate() {
@@ -1214,17 +978,14 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
                 records.push(record);
             }
             let kept_here = lines.len();
-            let resealable = shard_records > 0 && kept_here == shard_records;
+            let resealable = kept_here == shard_records;
             let mut contents = lines.concat();
-            if resealable && v3 {
+            if resealable {
                 contents.push_str(&render_footer(kept_here));
             }
             write_atomic(&shard_path(path, i), &contents)?;
             if resealable {
-                if v3 {
-                    sealed_digests.push(shard_digest(&contents));
-                }
-                sealed_shards += 1;
+                sealed_digests.push(shard_digest(&contents));
             } else {
                 active = lines;
             }
@@ -1259,10 +1020,7 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
                 let _ = std::fs::remove_file(shard_path(path, i));
             }
         } else if shard.sealed {
-            if v3 {
-                sealed_digests.push(shard.digest.clone());
-            }
-            sealed_shards += 1;
+            sealed_digests.push(shard.digest.clone());
             if shard.needs_manifest_entry || shard.digest_mismatch {
                 manifest_dirty = true;
             }
@@ -1286,28 +1044,18 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
         let _ = std::fs::remove_file(shard_path(path, stray));
         stray += 1;
     }
-    if v3 && (manifest_dirty || sealed_digests.len() != manifest_sealed) {
+    if manifest_dirty || sealed_digests.len() != manifest_sealed {
         write_atomic(path, &render_manifest_v3(shard_records, &sealed_digests))?;
     }
     let kept = records.len();
-    let store = if v3 {
-        Store::Sharded3 {
+    Ok(HealedLayout {
+        records,
+        store: Store {
             shard_records,
             manifest_written: true,
             sealed: sealed_digests,
             active,
-        }
-    } else {
-        Store::Sharded {
-            shard_records,
-            manifest_written: true,
-            sealed_shards,
-            active,
-        }
-    };
-    Ok(HealedLayout {
-        records,
-        store,
+        },
         kept,
         dropped_records,
         dropped_bytes,
@@ -1318,8 +1066,6 @@ fn record_kind_name(record: &JournalRecord) -> &'static str {
     match record {
         JournalRecord::Point { .. } => "point",
         JournalRecord::PointFailed { .. } => "point_failed",
-        JournalRecord::Chip { .. } => "chip",
-        JournalRecord::ChipFailed { .. } => "chip_failed",
         JournalRecord::FleetBatch { .. } => "fleet_batch",
     }
 }
@@ -1355,9 +1101,10 @@ impl JournalStatus {
 /// [`inspect_journal`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalHealth {
-    /// Journal format version (1, 2, or 3).
+    /// Journal format version: always 3, the only format read (kept so
+    /// `journal-tool` output stays unchanged).
     pub version: u8,
-    /// Records per shard segment (0 for single-file v1 journals).
+    /// Records per shard segment.
     pub shard_records: usize,
     /// Cleanly sealed shard files.
     pub sealed_shards: usize,
@@ -1379,8 +1126,8 @@ pub struct JournalHealth {
 ///
 /// # Errors
 ///
-/// [`ReduceError::InvalidConfig`] for filesystem read failures or an
-/// unrecognised v1/v2 header; corruption is reported in the returned
+/// [`ReduceError::InvalidConfig`] for filesystem read failures or a
+/// version-1/2 journal; corruption is reported in the returned
 /// [`JournalHealth`], not as an error.
 pub fn inspect_journal(path: &Path) -> Result<JournalHealth> {
     let Some(scan) = scan_journal(path)? else {
@@ -1444,7 +1191,7 @@ pub fn inspect_journal(path: &Path) -> Result<JournalHealth> {
         JournalStatus::Clean
     };
     Ok(JournalHealth {
-        version: scan.version,
+        version: 3,
         shard_records: scan.shard_records,
         sealed_shards: scan.shards.iter().filter(|s| s.sealed).count(),
         records,
@@ -1478,8 +1225,8 @@ pub struct RepairSummary {
 ///
 /// # Errors
 ///
-/// [`ReduceError::InvalidConfig`] for filesystem failures or an
-/// unrecognised v1/v2 header.
+/// [`ReduceError::InvalidConfig`] for filesystem failures or a
+/// version-1/2 journal, which is left untouched.
 pub fn repair_journal(path: &Path, observer: &dyn Observer) -> Result<RepairSummary> {
     let Some(scan) = scan_journal(path)? else {
         return Ok(RepairSummary {
@@ -1635,44 +1382,6 @@ fn render_record(record: &JournalRecord) -> String {
             push_events(&mut s, events);
             s.push('}');
         }
-        JournalRecord::Chip {
-            job,
-            policy,
-            outcome,
-            workspace,
-            events,
-        } => {
-            s.push_str(&format!("{{\"kind\":\"chip\",\"job\":{job},\"policy\":"));
-            push_json_string(&mut s, policy);
-            s.push_str(",\"outcome\":");
-            push_chip_outcome(&mut s, outcome);
-            s.push_str(",\"workspace\":");
-            push_workspace(&mut s, workspace);
-            s.push_str(",\"events\":");
-            push_events(&mut s, events);
-            s.push('}');
-        }
-        JournalRecord::ChipFailed {
-            job,
-            policy,
-            chip_id,
-            fault_rate,
-            attempts,
-            error,
-            events,
-        } => {
-            s.push_str(&format!(
-                "{{\"kind\":\"chip_failed\",\"job\":{job},\"policy\":"
-            ));
-            push_json_string(&mut s, policy);
-            s.push_str(&format!(",\"chip_id\":{chip_id},\"fault_rate\":"));
-            push_json_f64(&mut s, *fault_rate);
-            s.push_str(&format!(",\"attempts\":{attempts},\"error\":"));
-            push_json_string(&mut s, error);
-            s.push_str(",\"events\":");
-            push_events(&mut s, events);
-            s.push('}');
-        }
         JournalRecord::FleetBatch {
             policy,
             window,
@@ -1787,11 +1496,7 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
             meets_constraint: bool_of(c, "meets_constraint")?,
             pruned_fraction: f32_of(c, "pruned_fraction")?,
             clamped: bool_of(c, "clamped")?,
-            // Absent in records written before the eFAT extension.
-            warm_started: c
-                .field("warm_started")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(false),
+            warm_started: bool_of(c, "warm_started")?,
         })
     };
     match value.field("kind").and_then(JsonValue::as_str) {
@@ -1832,25 +1537,6 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
             error: str_of(&value, "error")?,
             events: events_of(&value)?,
         }),
-        Some("chip") => {
-            let c = value.field("outcome").ok_or_else(|| bad("outcome"))?;
-            Ok(JournalRecord::Chip {
-                job: u64_of(&value, "job")?,
-                policy: str_of(&value, "policy")?,
-                outcome: outcome_of(c)?,
-                workspace: workspace_of(&value)?,
-                events: events_of(&value)?,
-            })
-        }
-        Some("chip_failed") => Ok(JournalRecord::ChipFailed {
-            job: u64_of(&value, "job")?,
-            policy: str_of(&value, "policy")?,
-            chip_id: usize_of(&value, "chip_id")?,
-            fault_rate: f64_of(&value, "fault_rate")?,
-            attempts: attempts_of(&value)?,
-            error: str_of(&value, "error")?,
-            events: events_of(&value)?,
-        }),
         Some("fleet_batch") => {
             let chips = match value.field("chips") {
                 Some(JsonValue::Arr(items)) => items
@@ -1873,7 +1559,6 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
                     .collect::<Result<Vec<SealedChip>>>()?,
                 _ => return Err(bad("chips")),
             };
-            // Absent in records written before the eFAT extension.
             let clusters = match value.field("clusters") {
                 Some(JsonValue::Arr(items)) => items
                     .iter()
@@ -1891,8 +1576,7 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
                         })
                     })
                     .collect::<Result<Vec<Cluster>>>()?,
-                Some(_) => return Err(bad("clusters")),
-                None => Vec::new(),
+                _ => return Err(bad("clusters")),
             };
             Ok(JournalRecord::FleetBatch {
                 policy: str_of(&value, "policy")?,
@@ -1973,39 +1657,6 @@ mod tests {
         }
     }
 
-    fn chip_records() -> Vec<JournalRecord> {
-        vec![
-            JournalRecord::Chip {
-                job: 0,
-                policy: "Fixed (2 epochs)".to_string(),
-                outcome: sample_outcome(0),
-                workspace: WorkspaceStats::default(),
-                events: vec![Event::ChipRetrained {
-                    chip_id: 0,
-                    fault_rate: 0.1,
-                    epochs_budgeted: 2,
-                    epochs_run: 2,
-                    final_accuracy: 0.9,
-                    satisfied: true,
-                }],
-            },
-            JournalRecord::ChipFailed {
-                job: 1,
-                policy: "Fixed (2 epochs)".to_string(),
-                chip_id: 1,
-                fault_rate: 0.2,
-                attempts: 3,
-                error: "chaos injection: forced failure (job 1, attempt 2)".to_string(),
-                events: vec![Event::JobFailed {
-                    stage: Stage::Deploy,
-                    job: 1,
-                    attempt: 0,
-                    error: "quoted \"cause\"\nwith newline".to_string(),
-                }],
-            },
-        ]
-    }
-
     fn batch_record() -> JournalRecord {
         JournalRecord::FleetBatch {
             policy: "Reduce (max)".to_string(),
@@ -2052,32 +1703,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_cluster_records_parse_with_defaults() {
-        // A fleet_batch line written before the eFAT extension: no
-        // "clusters" on the batch, no "warm_started" on the outcome.
-        let legacy = concat!(
-            "{\"kind\":\"fleet_batch\",\"policy\":\"Reduce (max)\",\"window\":1,",
-            "\"budget\":3,\"chunk\":0,\"chips\":[{\"status\":\"ok\",\"outcome\":",
-            "{\"chip_id\":7,\"fault_rate\":0.1,\"epochs_budgeted\":3,\"epochs_run\":2,",
-            "\"pre_retrain_accuracy\":0.5,\"final_accuracy\":0.9,\"meets_constraint\":true,",
-            "\"pruned_fraction\":0.25,\"clamped\":false}}],",
-            "\"workspace\":{\"hits\":7,\"misses\":1,\"bytes_allocated\":1024},\"events\":[]}"
-        );
-        match parse_record(legacy).expect("legacy line parses") {
-            JournalRecord::FleetBatch {
-                clusters, chips, ..
-            } => {
-                assert!(clusters.is_empty(), "missing clusters default to none");
-                match &chips[0] {
-                    SealedChip::Retrained(outcome) => assert!(!outcome.warm_started),
-                    other => panic!("expected retrained chip, got {other:?}"),
-                }
-            }
-            other => panic!("expected fleet batch, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn append_resume_round_trips_every_record_kind() {
         let path = scratch("round_trip");
         let journal = Checkpoint::create(&path);
@@ -2098,9 +1723,6 @@ mod tests {
                 }],
             })
             .expect("append");
-        for r in chip_records() {
-            journal.append(r).expect("append");
-        }
         journal.append(batch_record()).expect("append");
         let original = journal.records().expect("records");
         let resumed = Checkpoint::resume(&path).expect("parseable journal");
@@ -2147,12 +1769,11 @@ mod tests {
         }
         // An unknown record kind in the MIDDLE (a valid record follows it)
         // cannot be healed by tail truncation: typed corruption error.
-        let valid = render_record(&chip_records()[0]);
-        std::fs::write(
-            &path,
-            format!("{V1_HEADER}{{\"kind\":\"mystery\",\"job\":0}}\n{valid}"),
-        )
-        .expect("temp write");
+        let valid = frame_line(render_record(&small_record(0)).trim_end());
+        let mystery = frame_line("{\"kind\":\"mystery\",\"job\":0}");
+        std::fs::write(&path, render_manifest_v3(8, &[])).expect("temp write");
+        let shard = shard_path(&path, 0);
+        std::fs::write(&shard, format!("{mystery}{valid}")).expect("temp write");
         match Checkpoint::resume(&path) {
             Err(ReduceError::JournalCorrupt {
                 shard,
@@ -2165,14 +1786,10 @@ mod tests {
         }
         // The same damage at the TAIL self-heals: resume keeps the valid
         // prefix and truncates the garbage away.
-        std::fs::write(
-            &path,
-            format!("{V1_HEADER}{valid}{{\"kind\":\"mystery\",\"job\":0}}\n"),
-        )
-        .expect("temp write");
+        std::fs::write(&shard, format!("{valid}{mystery}")).expect("temp write");
         let journal = Checkpoint::resume(&path).expect("tail damage heals");
         assert_eq!(journal.records().expect("records").len(), 1);
-        let text = std::fs::read_to_string(&path).expect("journal exists");
+        let text = std::fs::read_to_string(&shard).expect("shard exists");
         assert!(!text.contains("mystery"), "damaged tail was truncated away");
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -2181,15 +1798,9 @@ mod tests {
     fn journal_keys_identify_records() {
         let r = point_record();
         assert_eq!(r.grid_key(), Some((1, 0)));
-        assert_eq!(r.chip_key(), None);
         assert_eq!(r.batch_key(), None);
-        let chips = chip_records();
-        assert_eq!(chips[0].chip_key(), Some(("Fixed (2 epochs)", 0)));
-        assert_eq!(chips[1].chip_key(), Some(("Fixed (2 epochs)", 1)));
-        assert_eq!(chips[0].grid_key(), None);
         let batch = batch_record();
         assert_eq!(batch.batch_key(), Some(("Reduce (max)", 1, 3, 0)));
-        assert_eq!(batch.chip_key(), None);
         assert_eq!(batch.grid_key(), None);
     }
 
@@ -2235,32 +1846,6 @@ mod tests {
         // Resume stitches every shard back together.
         let resumed = Checkpoint::resume(&path).expect("parseable journal");
         assert_eq!(resumed.records().expect("records").len(), 64);
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-
-    #[test]
-    fn legacy_v1_journals_still_resume_and_extend() {
-        let path = scratch("legacy_v1");
-        let dir = path.parent().expect("has parent");
-        std::fs::create_dir_all(dir).expect("temp dir");
-        let mut contents = String::from(V1_HEADER);
-        for r in chip_records() {
-            contents.push_str(&render_record(&r));
-        }
-        std::fs::write(&path, &contents).expect("temp write");
-        let journal = Checkpoint::resume(&path).expect("v1 journal parses");
-        assert_eq!(journal.records().expect("records"), chip_records());
-        // Appends keep the legacy whole-file layout: no shards appear and
-        // the file stays a valid v1 journal.
-        journal.append(point_record()).expect("append");
-        assert!(!shard_path(&path, 0).exists(), "v1 journals stay unsharded");
-        let text = std::fs::read_to_string(&path).expect("journal exists");
-        assert!(text.starts_with(V1_HEADER));
-        assert_eq!(text.lines().count(), 4, "header + three records");
-        let resumed = Checkpoint::resume(&path).expect("still parseable");
-        assert_eq!(resumed.records().expect("records").len(), 3);
         if let Some(dir) = path.parent() {
             let _ = std::fs::remove_dir_all(dir);
         }
@@ -2318,33 +1903,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn legacy_v2_journals_still_resume_and_extend() {
-        let path = scratch("legacy_v2");
-        let dir = path.parent().expect("has parent");
-        std::fs::create_dir_all(dir).expect("temp dir");
-        // Hand-write the frozen v2 layout: a bare JSON manifest line and
-        // unframed shard files.
-        std::fs::write(&path, render_manifest(2)).expect("temp write");
-        let sealed: String = (0..2).map(|i| render_record(&small_record(i))).collect();
-        std::fs::write(shard_path(&path, 0), &sealed).expect("temp write");
-        std::fs::write(shard_path(&path, 1), render_record(&small_record(2))).expect("temp write");
-        let journal = Checkpoint::resume(&path).expect("v2 journal parses");
-        let records = journal.records().expect("records");
-        assert_eq!(records, (0..3).map(small_record).collect::<Vec<_>>());
-        // Appends keep the v2 layout: the new seal of shard 1 stays
-        // unframed and the manifest line stays bare JSON.
-        journal.append(small_record(3)).expect("append");
-        let manifest = std::fs::read_to_string(&path).expect("manifest");
-        assert!(manifest.starts_with('{'), "v2 manifest stays bare JSON");
-        let shard1 = std::fs::read_to_string(shard_path(&path, 1)).expect("shard 1");
-        assert_eq!(shard1.lines().count(), 2);
-        assert!(shard1.starts_with('{'), "v2 shards stay unframed");
-        let resumed = Checkpoint::resume(&path).expect("still parseable");
-        assert_eq!(resumed.records().expect("records").len(), 4);
-        cleanup(&path);
     }
 
     #[test]
@@ -2565,38 +2123,98 @@ mod tests {
         let path = scratch("v2_manifest_flip");
         let dir = path.parent().expect("has parent");
         std::fs::create_dir_all(dir).expect("temp dir");
-        std::fs::write(&path, render_manifest(2)).expect("temp write");
+        // A v2 journal whose manifest's first byte was flipped (`{` ^ 0x04):
+        // the garbage manifest is no recognisable header, and the unframed
+        // shard lines beside it are not recognisably v3 either. Resume
+        // must refuse with a typed error rather than adopt the directory
+        // as an (empty) v3 journal and truncate the shards away.
+        std::fs::write(
+            &path,
+            "\u{7f}\"journal\":\"reduce-journal\",\"version\":2,\"shard_records\":2}\n",
+        )
+        .expect("temp write");
         let sealed: String = (0..2).map(|i| render_record(&small_record(i))).collect();
+        let active = render_record(&small_record(2));
         std::fs::write(shard_path(&path, 0), &sealed).expect("temp write");
-        std::fs::write(shard_path(&path, 1), render_record(&small_record(2))).expect("temp write");
-        // Flip the manifest's first byte: the file no longer starts with
-        // `{`, so it is not recognisably v1/v2 — and its unframed shard
-        // lines are not recognisably v3 either. Resume must refuse with a
-        // typed error rather than adopt the directory as an (empty) v3
-        // journal and truncate the shards away.
-        let mut manifest = std::fs::read(&path).expect("manifest");
-        manifest[0] ^= 0x04;
-        std::fs::write(&path, &manifest).expect("temp write");
+        std::fs::write(shard_path(&path, 1), &active).expect("temp write");
         match Checkpoint::resume(&path) {
             Err(ReduceError::JournalCorrupt { kind, .. }) => {
                 assert_eq!(kind, CorruptKind::Manifest);
             }
             other => panic!("flipped v2 manifest must refuse resume, got {other:?}"),
         }
-        assert_eq!(
-            std::fs::read_to_string(shard_path(&path, 0)).expect("shard 0 intact"),
-            sealed,
-            "refused resume must not touch shard data"
-        );
-        assert!(
-            shard_path(&path, 1).exists(),
-            "shard 1 survives the refusal"
-        );
+        for (index, contents) in [(0, &sealed), (1, &active)] {
+            assert_eq!(
+                &std::fs::read_to_string(shard_path(&path, index)).expect("shard intact"),
+                contents,
+                "refused resume must not touch shard {index}"
+            );
+        }
         assert_eq!(
             inspect_journal(&path).expect("inspect").status,
             JournalStatus::Corrupt
         );
         cleanup(&path);
+    }
+
+    #[test]
+    fn pre_v3_journals_are_refused_untouched() {
+        let records: String = (0..3).map(|i| render_record(&small_record(i))).collect();
+        // Version 1: one header-prefixed file holding every record.
+        let v1 = scratch("pre_v3_v1");
+        std::fs::create_dir_all(v1.parent().expect("has parent")).expect("temp dir");
+        std::fs::write(
+            &v1,
+            format!("{{\"journal\":\"reduce-journal\",\"version\":1}}\n{records}"),
+        )
+        .expect("temp write");
+        // Version 2: a bare JSON manifest plus unframed shard files.
+        let v2 = scratch("pre_v3_v2");
+        std::fs::create_dir_all(v2.parent().expect("has parent")).expect("temp dir");
+        std::fs::write(
+            &v2,
+            "{\"journal\":\"reduce-journal\",\"version\":2,\"shard_records\":2}\n",
+        )
+        .expect("temp write");
+        let sealed: String = (0..2).map(|i| render_record(&small_record(i))).collect();
+        std::fs::write(shard_path(&v2, 0), sealed).expect("temp write");
+        std::fs::write(shard_path(&v2, 1), render_record(&small_record(2))).expect("temp write");
+
+        for (path, version) in [(&v1, 1), (&v2, 2)] {
+            let dir = path.parent().expect("has parent");
+            let snapshot = || {
+                let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+                    .expect("list dir")
+                    .map(|e| {
+                        let p = e.expect("dir entry").path();
+                        let bytes = std::fs::read(&p).expect("read file");
+                        (p, bytes)
+                    })
+                    .collect();
+                files.sort();
+                files
+            };
+            let before = snapshot();
+            let refused = |result: Result<()>, op: &str| match result {
+                Err(ReduceError::InvalidConfig { what }) => {
+                    assert!(
+                        what.contains(&format!("format version {version}"))
+                            && what.contains("delete it and rerun"),
+                        "v{version} {op}: unexpected message {what:?}"
+                    );
+                }
+                other => panic!("v{version} {op} must be refused, got {other:?}"),
+            };
+            refused(Checkpoint::resume(path).map(drop), "resume");
+            refused(inspect_journal(path).map(drop), "inspect");
+            refused(repair_journal(path, &NullObserver).map(drop), "repair");
+            assert_eq!(
+                snapshot(),
+                before,
+                "v{version} journal must stay byte-identical"
+            );
+            cleanup(path);
+        }
     }
 
     #[test]

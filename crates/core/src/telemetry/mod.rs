@@ -262,7 +262,7 @@ pub enum Event {
     /// shard back to its last valid record, discarding a corrupt tail
     /// (torn final write, detected bitflip, or trailing garbage).
     ShardTruncated {
-        /// 0-based shard index (0 for single-file v1 journals).
+        /// 0-based shard index.
         shard: usize,
         /// Valid records kept in the shard after truncation.
         kept: usize,

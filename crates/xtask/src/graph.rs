@@ -50,12 +50,14 @@ pub const ROOT_MARKERS: [&str; 4] = [
 ];
 
 /// Function-id suffixes rooted directly: the resumable journal replay
-/// path. `Checkpoint::resume`'s raw file read is intake, not replay; the
-/// replay contract starts where parsed records are handed back.
-pub const EXTRA_ROOT_SUFFIXES: [&str; 3] = [
+/// path, through to the fleet's batch reconstruction. `Checkpoint::resume`'s
+/// raw file read is intake, not replay; the replay contract starts where
+/// parsed records are handed back.
+pub const EXTRA_ROOT_SUFFIXES: [&str; 4] = [
     "journal::Checkpoint::records",
     "journal::parse_record",
     "journal::render_record",
+    "fleet::replay_batch",
 ];
 
 /// Sanctioned islands and root configuration for one analysis run.
