@@ -34,9 +34,12 @@
 //! # Determinism contract
 //!
 //! The event *sequence* is identical at any thread count: events carry
-//! logical indices (`rate_index`, `repeat`, `chip_id`) and the executor
-//! buffers each parallel job's events, flushing them in input order after
-//! the fan-out completes (see [`crate::exec::parallel_map_traced`]). The
+//! logical indices (`rate_index`, `repeat`, `chip_id`), and each parallel
+//! job buffers its events in its own [`crate::exec::JobReport`] (from
+//! [`crate::exec::parallel_map_resilient`] for grid cells,
+//! [`crate::exec::run_job_resilient`] for fleet chips inside a batch).
+//! The stage flushes those buffers to the observer in input order after
+//! the fan-out completes, interleaved with any journal-replayed events. The
 //! only non-deterministic payload is wall-clock time, which is confined
 //! to [`Event::StageFinished::seconds`] and redactable at the sink
 //! ([`RunLog`]'s `redact_timing`), making redacted run logs byte-identical

@@ -6,9 +6,8 @@
 //! [`synthetic_cifar`] / [`SynthTask`]: a procedurally generated, balanced
 //! image-classification task whose difficulty (pixel noise, geometric
 //! jitter, label noise) is tuned so a nano-VGG saturates in the low-to-mid
-//! 90s — making the paper's 91 % accuracy constraint meaningful. Toy
-//! tabular generators ([`blobs`], [`two_moons`], [`spirals`]) support fast
-//! tests, and [`Augmenter`] provides seeded flip/shift augmentation.
+//! 90s — making the paper's 91 % accuracy constraint meaningful. The toy
+//! tabular generator [`blobs`] backs the fast MLP workbench and tests.
 //!
 //! Everything is deterministic given its seeds.
 //!
@@ -31,12 +30,10 @@
 // Tests may unwrap/expect freely: a panic there *is* the failure report.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-mod augment;
 mod dataset;
 mod synth;
 mod toy;
 
-pub use augment::Augmenter;
 pub use dataset::{DataError, Dataset, Result, Standardization};
 pub use synth::{synthetic_cifar, SynthImageConfig, SynthTask};
-pub use toy::{blobs, spirals, two_moons};
+pub use toy::blobs;

@@ -6,7 +6,7 @@
 //!
 //! The crate provides:
 //!
-//! * [`layers`] — `Linear`, `Conv2d`, activations, pooling, batch norm,
+//! * [`layers`] — `Linear`, `Conv2d`, ReLU, max pooling, 2-D batch norm,
 //!   dropout, flatten; every layer implements exact forward/backward passes
 //!   verified against finite differences;
 //! * [`Sequential`] — the model container with checkpointing and **fault
@@ -14,7 +14,7 @@
 //!   uses);
 //! * [`CrossEntropyLoss`]/[`MseLoss`], [`Sgd`]/[`Adam`] (mask-projecting
 //!   optimizers), [`LrSchedule`]s, and an epoch-granular [`Trainer`];
-//! * [`models`] — VGG11 (paper topology, configurable width), LeNet, MLPs.
+//! * [`models`] — VGG11 (paper topology, configurable width) and MLPs.
 //!
 //! # Examples
 //!
@@ -59,8 +59,8 @@ mod workspace;
 pub use error::{NnError, Result};
 pub use init::Init;
 pub use loss::{CrossEntropyLoss, Loss, LossOutput, MseLoss, Target};
-pub use metrics::{accuracy, ConfusionMatrix};
-pub use model::{ModelSnapshot, Sequential};
+pub use metrics::accuracy;
+pub use model::Sequential;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Parameter;
 pub use scheduler::LrSchedule;

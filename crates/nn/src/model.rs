@@ -6,49 +6,6 @@ use crate::param::Parameter;
 use crate::workspace::{Workspace, WorkspaceStats};
 use reduce_tensor::Tensor;
 
-/// An O(1) snapshot of a model's parameter values.
-///
-/// Tensors use copy-on-write storage, so each entry is a reference-count
-/// bump rather than a data copy: snapshotting an N-parameter model costs N
-/// `Arc` increments and zero float copies. The snapshot stays bit-identical
-/// to the weights at capture time — the first later write to a parameter
-/// (an optimizer step, a fault-mask application) un-shares just that
-/// tensor, leaving the snapshot untouched.
-///
-/// Entries are keyed `"{layer}.{param}"` in layer order, exactly like
-/// [`Sequential::state_dict`].
-#[derive(Debug, Clone, Default)]
-pub struct ModelSnapshot {
-    entries: Vec<(String, Tensor)>,
-}
-
-impl ModelSnapshot {
-    /// Wraps raw `(key, value)` entries as a snapshot.
-    pub fn from_entries(entries: Vec<(String, Tensor)>) -> Self {
-        ModelSnapshot { entries }
-    }
-
-    /// The `(key, value)` entries, in layer order.
-    pub fn entries(&self) -> &[(String, Tensor)] {
-        &self.entries
-    }
-
-    /// Unwraps into the raw entry list.
-    pub fn into_entries(self) -> Vec<(String, Tensor)> {
-        self.entries
-    }
-
-    /// Number of parameter entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the snapshot holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// A feed-forward stack of layers executed in order.
 ///
 /// `Sequential` is the model type used throughout the reproduction: VGG-style
@@ -166,27 +123,6 @@ impl Sequential {
         Ok(cur)
     }
 
-    /// Takes an O(1) copy-on-write snapshot of every parameter value.
-    ///
-    /// See [`ModelSnapshot`] for the sharing/isolation semantics.
-    pub fn snapshot(&self) -> ModelSnapshot {
-        ModelSnapshot::from_entries(self.state_dict())
-    }
-
-    /// Restores parameter values from a [`Sequential::snapshot`].
-    ///
-    /// Installed masks are re-applied to the restored values (mask
-    /// application is the copy-on-write trigger, so two models restored
-    /// from one snapshot never observe each other's masked weights).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::CheckpointMismatch`] exactly as
-    /// [`Sequential::load_state_dict`] does.
-    pub fn restore(&mut self, snapshot: &ModelSnapshot) -> Result<()> {
-        self.load_state_dict(snapshot.entries())
-    }
-
     /// The model's shared buffer arena, e.g. for a trainer that wants its
     /// per-batch tensors to come from (and return to) the same pools the
     /// layers use.
@@ -284,7 +220,15 @@ impl Sequential {
         self.params().iter().all(|p| p.mask_invariant_holds())
     }
 
-    /// Snapshot of all parameter values, keyed `"{layer}.{param}"`.
+    /// Snapshot of all parameter values, keyed `"{layer}.{param}"` in
+    /// layer order.
+    ///
+    /// Tensors use copy-on-write storage, so each entry is a reference-count
+    /// bump rather than a data copy: an N-parameter snapshot costs N `Arc`
+    /// increments and zero float copies. The snapshot stays bit-identical
+    /// to the weights at capture time — the first later write to a
+    /// parameter (an optimizer step, a fault-mask application) un-shares
+    /// just that tensor.
     pub fn state_dict(&self) -> Vec<(String, Tensor)> {
         let mut out = Vec::new();
         for (i, layer) in self.layers.iter().enumerate() {
@@ -297,7 +241,9 @@ impl Sequential {
 
     /// Restores parameter values from a [`Sequential::state_dict`] snapshot.
     ///
-    /// Masks installed on the model are re-applied to the loaded values.
+    /// Masks installed on the model are re-applied to the loaded values
+    /// (mask application is the copy-on-write trigger, so two models loaded
+    /// from one snapshot never observe each other's masked weights).
     ///
     /// # Errors
     ///
@@ -468,33 +414,24 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_zero_copy_and_restore_round_trips() {
+    fn state_dict_is_zero_copy_and_load_round_trips() {
         let mut m = model();
-        let snap = m.snapshot();
-        // Snapshot entries alias the live parameters until a write happens.
-        for ((_, t), p) in snap.entries().iter().zip(m.params()) {
+        let state = m.state_dict();
+        // State entries alias the live parameters until a write happens.
+        for ((_, t), p) in state.iter().zip(m.params()) {
             assert!(t.shares_storage(p.value()));
         }
         for p in m.params_mut() {
             p.value_mut().fill(7.0);
         }
-        // The write un-shared the parameters; the snapshot kept old values.
-        for ((_, t), p) in snap.entries().iter().zip(m.params()) {
+        // The write un-shared the parameters; the state kept old values.
+        for ((_, t), p) in state.iter().zip(m.params()) {
             assert!(!t.shares_storage(p.value()));
         }
-        m.restore(&snap).expect("matching snapshot");
-        for ((_, t), p) in snap.entries().iter().zip(m.params()) {
+        m.load_state_dict(&state).expect("matching state");
+        for ((_, t), p) in state.iter().zip(m.params()) {
             assert_eq!(t, p.value());
         }
-    }
-
-    #[test]
-    fn restore_validates_like_load_state_dict() {
-        let mut m = model();
-        let snap = ModelSnapshot::from_entries(vec![]);
-        assert!(m.restore(&snap).is_err());
-        assert!(snap.is_empty());
-        assert_eq!(m.snapshot().len(), 4);
     }
 
     #[test]

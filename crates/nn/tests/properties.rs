@@ -172,41 +172,43 @@ proptest! {
         prop_assert!((delta2 - 2.0 * delta1).abs() < 1e-5);
     }
 
-    /// snapshot() / restore() round-trips weights bit-identically for
-    /// arbitrary MLPs, even after the live model is mutated in between.
+    /// state_dict() / load_state_dict() round-trips weights
+    /// bit-identically for arbitrary MLPs, even after the live model is
+    /// mutated in between.
     #[test]
-    fn snapshot_restore_round_trips_bit_identically(dims in mlp_dims(), seed in 0u64..500) {
+    fn state_dict_round_trips_bit_identically(dims in mlp_dims(), seed in 0u64..500) {
         let mut model = models::mlp(&dims, seed).expect("valid dims");
-        let snap = model.snapshot();
-        let reference = model.state_dict();
-        // Mutate the live model: the snapshot must not follow.
+        let state = model.state_dict();
+        // A deep copy, so a state that followed the live model would show.
+        let reference: Vec<Vec<f32>> = state.iter().map(|(_, t)| t.data().to_vec()).collect();
+        // Mutate the live model: the state must not follow.
         for p in model.params_mut() {
             p.value_mut().fill(3.25);
         }
-        model.restore(&snap).expect("same architecture");
+        model.load_state_dict(&state).expect("same architecture");
         let back = model.state_dict();
         prop_assert_eq!(back.len(), reference.len());
-        for ((k1, v1), (k2, v2)) in back.iter().zip(&reference) {
+        for (((k1, v1), (k2, _)), want) in back.iter().zip(&state).zip(&reference) {
             prop_assert_eq!(k1, k2);
-            prop_assert_eq!(v1, v2);
+            prop_assert_eq!(v1.data(), want.as_slice());
         }
     }
 
-    /// Two models restored from one shared snapshot stay isolated: masking
-    /// one (the copy-on-write trigger) never leaks masked zeros into the
-    /// other model or back into the snapshot.
+    /// Two models loaded from one shared state stay isolated: masking one
+    /// (the copy-on-write trigger) never leaks masked zeros into the other
+    /// model or back into the state.
     #[test]
-    fn restored_models_do_not_alias_across_masks(
+    fn loaded_models_do_not_alias_across_masks(
         dims in mlp_dims(),
         mask_bits in prop::collection::vec(prop::bool::ANY, 64),
         seed in 0u64..500,
     ) {
         let pretrained = models::mlp(&dims, seed).expect("valid dims");
-        let snap = pretrained.snapshot();
+        let state = pretrained.state_dict();
         let mut chip_a = models::mlp(&dims, seed + 1).expect("valid dims");
         let mut chip_b = models::mlp(&dims, seed + 2).expect("valid dims");
-        chip_a.restore(&snap).expect("same architecture");
-        chip_b.restore(&snap).expect("same architecture");
+        chip_a.load_state_dict(&state).expect("same architecture");
+        chip_b.load_state_dict(&state).expect("same architecture");
         // Mask chip A's first weight matrix with arbitrary bits.
         let wdims = chip_a.weight_params()[0].value().dims().to_vec();
         let len: usize = wdims.iter().product();
@@ -222,11 +224,11 @@ proptest! {
             .collect();
         chip_a.set_weight_masks(&masks).expect("count matches");
         prop_assert!(chip_a.mask_invariants_hold());
-        // Chip B and the snapshot keep the original (unmasked) weights.
-        for ((_, s), p) in snap.entries().iter().zip(chip_b.params()) {
+        // Chip B and the state keep the original (unmasked) weights.
+        for ((_, s), p) in state.iter().zip(chip_b.params()) {
             prop_assert_eq!(s, p.value());
         }
-        for ((_, s), p) in snap.entries().iter().zip(pretrained.params()) {
+        for ((_, s), p) in state.iter().zip(pretrained.params()) {
             prop_assert_eq!(s, p.value());
         }
     }

@@ -8,7 +8,7 @@
 //!   initialisers, elementwise maps and reductions;
 //! * [`Shape`] — rank/volume/stride arithmetic with typed errors;
 //! * [`ops`] — cache-blocked GEMM kernels (plain, `AᵀB`, `ABᵀ`), im2col/
-//!   col2im convolution lowering, pooling with exact adjoints, and stable
+//!   col2im convolution lowering, max pooling with exact adjoints, and stable
 //!   softmax kernels.
 //!
 //! Every stochastic constructor takes an explicit seed so experiments built

@@ -1,4 +1,5 @@
-//! Numeric kernels: GEMM variants, convolution lowering, pooling, softmax.
+//! Numeric kernels: GEMM variants, convolution lowering, max pooling,
+//! softmax.
 //!
 //! Most kernels come in two flavours: an allocating form (`matmul`,
 //! `im2col`, …) and an `_into` form that writes into a caller-provided
@@ -12,8 +13,7 @@ mod matmul;
 mod softmax;
 
 pub use conv::{
-    avg_pool2d, avg_pool2d_backward, avg_pool2d_backward_into, avg_pool2d_into, col2im,
-    col2im_into, col2im_tap_major_into, conv2d_bias_grad_into, conv2d_forward_gemm_into,
+    col2im, col2im_into, col2im_tap_major_into, conv2d_bias_grad_into, conv2d_forward_gemm_into,
     conv2d_grad_oc_major_into, conv2d_input_grad_into, conv2d_output_into, conv2d_weight_grad_into,
     im2col, im2col_into, im2col_tap_major_into, max_pool2d, max_pool2d_backward,
     max_pool2d_backward_into, max_pool2d_into, nchw_to_rows, nchw_to_rows_into, rows_to_nchw,

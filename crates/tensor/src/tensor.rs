@@ -367,23 +367,6 @@ impl Tensor {
         })
     }
 
-    /// In-place variant of [`Tensor::reshape`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if volumes differ.
-    pub fn reshape_in_place<S: Into<Shape>>(&mut self, shape: S) -> Result<()> {
-        let shape = shape.into();
-        if shape.volume() != self.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.volume(),
-                actual: self.len(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Transpose of a rank-2 tensor (copies).
     ///
     /// # Errors

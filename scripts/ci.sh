@@ -156,7 +156,7 @@ echo "==> GEMM kernel-comparison gate (gemm_bench --check)"
 # BENCH_gemm.json byte for byte.
 mkdir -p "$det_dir/gemm"
 cargo run -q -p reduce-bench --release --bin gemm_bench -- \
-    --check --out "$det_dir/gemm/BENCH_gemm.json" --threads 2 >/dev/null
+    --check --out "$det_dir/gemm/BENCH_gemm.json" >/dev/null
 normalise_nums() { sed -E 's/-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?/N/g' "$1"; }
 diff <(normalise_nums BENCH_gemm.json) \
      <(normalise_nums "$det_dir/gemm/BENCH_gemm.json")
