@@ -23,16 +23,16 @@
 //!
 //! # Failure containment
 //!
-//! [`parallel_map_resilient`] layers job-level fault tolerance on top:
-//! a job that returns `Err` or panics is retried up to
+//! [`run_job_resilient`] layers job-level fault tolerance on top: a job
+//! that returns `Err` or panics is retried up to
 //! [`ExecConfig::retry_budget`] times, each attempt reseeded with the
 //! pure [`retry_seed`] function (no wall clock, no global state — the
 //! retry schedule depends only on the job id and attempt number, so it
 //! is identical at any thread count and across resumed runs). A job that
-//! exhausts the budget is **quarantined**, not fatal: the fan-out
-//! completes and the caller receives a typed [`JobStatus::Quarantined`]
-//! outcome alongside its siblings' results. Only configuration-class
-//! errors ([`ReduceError::InvalidConfig`],
+//! exhausts the budget is **quarantined**, not fatal: the caller
+//! receives a typed [`JobStatus::Quarantined`] outcome and the fan-out
+//! around it completes. Only configuration-class errors
+//! ([`ReduceError::InvalidConfig`],
 //! [`ReduceError::MissingCharacterization`]) abort the whole map —
 //! retrying a rejected configuration can never succeed.
 //!
@@ -100,7 +100,7 @@ impl ExecConfig {
         self
     }
 
-    /// Sets how many times [`parallel_map_resilient`] retries a failed
+    /// Sets how many times [`run_job_resilient`] retries a failed
     /// job before quarantining it (`0` = a single attempt, no retries).
     #[must_use]
     pub fn with_retry_budget(mut self, budget: u32) -> Self {
@@ -185,7 +185,7 @@ where
         return items
             .iter()
             .enumerate()
-            .map(|(i, item)| run_contained(&job, i, item))
+            .map(|(i, item)| contain_unwind(i as u64, || job(i, item)))
             .collect();
     }
     // Work queue of item indices; slot `i` only ever receives job `i`'s
@@ -203,7 +203,7 @@ where
                 let (Some(item), Some(slot)) = (items.get(i), slots.get(i)) else {
                     break;
                 };
-                let out = run_contained(&job, i, item);
+                let out = contain_unwind(i as u64, || job(i, item));
                 // Jobs cannot panic (contained above), so the lock cannot
                 // be poisoned by this loop; handle poisoning anyway — the
                 // stored value is still the slot we are about to fill.
@@ -274,7 +274,7 @@ enum ChaosMode {
 }
 
 /// A deterministic fault-injection policy for
-/// [`parallel_map_resilient`]: decides, purely from the job id and
+/// [`run_job_resilient`]: decides, purely from the job id and
 /// attempt number, whether an attempt runs, fails, or panics.
 ///
 /// Because [`ChaosPolicy::decide`] is a pure function, injected chaos is
@@ -387,7 +387,7 @@ pub enum JobStatus<R> {
     },
 }
 
-/// One job's sealed outcome from [`parallel_map_resilient`]: its stable
+/// One job's sealed outcome from [`run_job_resilient`]: its stable
 /// id, terminal status, and the telemetry events it buffered (including
 /// the [`Event::JobFailed`] / [`Event::RetryScheduled`] /
 /// [`Event::DivergenceRecovered`] records of its retry history).
@@ -412,59 +412,19 @@ fn is_fatal(e: &ReduceError) -> bool {
     )
 }
 
-/// [`parallel_map`] with job-level failure containment.
-///
-/// Each item carries a caller-assigned stable `u64` job id (the first
-/// tuple element) — **not** its position in `items` — so retry seeds and
-/// chaos decisions stay attached to the same logical job when a resumed
-/// run fans out only the missing subset of a grid.
+/// Runs one logical job — a Step ① grid cell or a Step ③ fleet chip —
+/// with failure containment. `id` is the job's stable id, **not** its
+/// position in a fan-out, so retry seeds and chaos decisions stay with the
+/// logical job across resume subsets and fleet batches.
 ///
 /// Per attempt, the job receives a *seed salt* ([`retry_seed`]): `0` on
 /// the first attempt, a fresh deterministic value per retry, to be XORed
-/// into whatever base seed the job derives its randomness from. A failed
-/// attempt's buffered events are discarded (as if the attempt never
-/// ran); the retry layer records [`Event::JobFailed`] and, if budget
-/// remains, [`Event::RetryScheduled`] in their place. A success after a
-/// divergence failure additionally records
-/// [`Event::DivergenceRecovered`].
-///
-/// `on_sealed` runs on the worker thread as soon as a job's outcome is
-/// final — the checkpoint-journal hook — and may fail, which aborts the
-/// fan-out.
-///
-/// # Errors
-///
-/// Configuration-class errors ([`is_fatal`]) from the lowest-indexed
-/// failing job, or an `on_sealed` error; never a quarantined job.
-pub fn parallel_map_resilient<T, R, F, S>(
-    items: &[(u64, T)],
-    exec: &ExecConfig,
-    stage: Stage,
-    job: F,
-    on_sealed: S,
-) -> Result<Vec<JobReport<R>>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(u64, &T, u64, &mut Vec<Event>) -> Result<R> + Sync,
-    S: Fn(&JobReport<R>) -> Result<()> + Sync,
-{
-    parallel_map(items, exec.threads, |_, (id, item)| {
-        let report = run_job_resilient(*id, item, exec, stage, &job)?;
-        on_sealed(&report)?;
-        Ok(report)
-    })
-}
-
-/// The per-job retry loop behind [`parallel_map_resilient`], exposed for
-/// schedulers that batch several logical jobs inside one executor job
-/// (e.g. the fleet epoch-budget batches, where a batch of chips shares a
-/// workspace but each chip keeps its own id-keyed retry/chaos schedule).
-///
-/// Semantics are identical to one item of [`parallel_map_resilient`]:
-/// per-attempt salts come from [`retry_seed`], chaos is consulted per
-/// `(id, attempt)`, failed attempts' events are replaced by the typed
-/// retry records, and only fatal errors propagate.
+/// into whatever base seed the job derives its randomness from. Chaos is
+/// consulted per `(id, attempt)`. A failed attempt's buffered events are
+/// discarded (as if the attempt never ran); the retry layer records
+/// [`Event::JobFailed`] and, if budget remains,
+/// [`Event::RetryScheduled`] in their place. A success after a
+/// divergence failure additionally records [`Event::DivergenceRecovered`].
 ///
 /// # Errors
 ///
@@ -550,33 +510,17 @@ where
     })
 }
 
-/// Closure variant of [`run_contained`]: panics become typed errors.
+/// Runs `f` with panic containment: a panic becomes
+/// [`ReduceError::Internal`] carrying the job id and panic message.
 fn contain_unwind<R>(id: u64, f: impl FnOnce() -> Result<R>) -> Result<R> {
+    // AssertUnwindSafe: on panic the in-flight result is discarded whole
+    // and the job reports a typed error, so no partially mutated state
+    // is ever observed across the unwind boundary.
     match std::panic::catch_unwind(AssertUnwindSafe(f)) {
         Ok(result) => result,
         Err(payload) => Err(ReduceError::Internal {
             invariant: format!(
                 "worker jobs must not panic (job {id} panicked: {})",
-                panic_message(payload.as_ref())
-            ),
-        }),
-    }
-}
-
-/// Runs one job with panic containment: a panic becomes
-/// [`ReduceError::Internal`] carrying the job index and panic message.
-fn run_contained<T, R, F>(job: &F, index: usize, item: &T) -> Result<R>
-where
-    F: Fn(usize, &T) -> Result<R>,
-{
-    // AssertUnwindSafe: on panic the in-flight result is discarded whole
-    // and its slot reports a typed error, so no partially mutated state
-    // is ever observed across the unwind boundary.
-    match std::panic::catch_unwind(AssertUnwindSafe(|| job(index, item))) {
-        Ok(result) => result,
-        Err(payload) => Err(ReduceError::Internal {
-            invariant: format!(
-                "worker jobs must not panic (job {index} panicked: {})",
                 panic_message(payload.as_ref())
             ),
         }),
@@ -752,19 +696,31 @@ mod tests {
         assert!((0..64).all(|j| ChaosPolicy::seeded(7, 1.0).decide(j, 0) == ChaosOutcome::Fail));
     }
 
+    /// Fans jobs `0..n` (payload = id) out over `parallel_map`, each
+    /// through `run_job_resilient` — the containment both stages use.
+    fn resilient_map<R: Send>(
+        n: u64,
+        exec: &ExecConfig,
+        stage: Stage,
+        job: impl Fn(u64, &u64, u64, &mut Vec<Event>) -> Result<R> + Sync,
+    ) -> Result<Vec<JobReport<R>>> {
+        let items: Vec<u64> = (0..n).collect();
+        parallel_map(&items, exec.threads, |_, id| {
+            run_job_resilient(*id, id, exec, stage, &job)
+        })
+    }
+
     /// Runs a resilient map over `n` synthetic jobs; job bodies succeed
     /// unless chaos interferes, and report the salt they were given.
     fn resilient_run(n: u64, exec: &ExecConfig) -> Vec<JobReport<(u64, u64)>> {
-        let items: Vec<(u64, u64)> = (0..n).map(|i| (i, i * 10)).collect();
-        parallel_map_resilient(
-            &items,
+        resilient_map(
+            n,
             exec,
             Stage::Characterize,
             |id, &payload, salt, events| {
                 events.push(tick(id as usize, 1));
-                Ok((payload, salt))
+                Ok((payload * 10, salt))
             },
-            |_| Ok(()),
         )
         .expect("no fatal errors")
     }
@@ -863,20 +819,13 @@ mod tests {
 
     #[test]
     fn job_panics_are_quarantined_too() {
-        let items: Vec<(u64, u64)> = (0..3).map(|i| (i, i)).collect();
         let exec = ExecConfig::new(2);
-        let reports = parallel_map_resilient(
-            &items,
-            &exec,
-            Stage::Deploy,
-            |id, _, _, _events| {
-                if id == 1 {
-                    panic!("boom in the job body");
-                }
-                Ok(id)
-            },
-            |_| Ok(()),
-        )
+        let reports = resilient_map(3, &exec, Stage::Deploy, |id, _, _, _events| {
+            if id == 1 {
+                panic!("boom in the job body");
+            }
+            Ok(id)
+        })
         .expect("panic is contained, not fatal");
         assert!(
             matches!(&reports[1].status, JobStatus::Quarantined { error, .. } if error.contains("boom"))
@@ -885,23 +834,16 @@ mod tests {
 
     #[test]
     fn divergence_recovery_emits_typed_event() {
-        let items: Vec<(u64, u64)> = (0..4).map(|i| (i, i)).collect();
         let exec = ExecConfig::new(2).with_retry_budget(1);
-        let reports = parallel_map_resilient(
-            &items,
-            &exec,
-            Stage::Characterize,
-            |id, _, salt, _events| {
-                if id == 2 && salt == 0 {
-                    // First attempt diverges; the reseeded retry recovers.
-                    return Err(ReduceError::Divergence {
-                        what: "accuracy became NaN at epoch 1".to_string(),
-                    });
-                }
-                Ok(id)
-            },
-            |_| Ok(()),
-        )
+        let reports = resilient_map(4, &exec, Stage::Characterize, |id, _, salt, _events| {
+            if id == 2 && salt == 0 {
+                // First attempt diverges; the reseeded retry recovers.
+                return Err(ReduceError::Divergence {
+                    what: "accuracy became NaN at epoch 1".to_string(),
+                });
+            }
+            Ok(id)
+        })
         .expect("divergence is retryable");
         assert_eq!(reports[2].status, JobStatus::Ok(2));
         assert!(
@@ -920,64 +862,18 @@ mod tests {
 
     #[test]
     fn fatal_errors_abort_instead_of_quarantining() {
-        let items: Vec<(u64, u64)> = (0..4).map(|i| (i, i)).collect();
         let exec = ExecConfig::new(2).with_retry_budget(5);
-        let res = parallel_map_resilient(
-            &items,
-            &exec,
-            Stage::Deploy,
-            |id, _, _, _| {
-                if id == 1 {
-                    return Err(ReduceError::MissingCharacterization {
-                        reason: "no table".to_string(),
-                    });
-                }
-                Ok(id)
-            },
-            |_: &JobReport<u64>| Ok(()),
-        );
+        let res = resilient_map(4, &exec, Stage::Deploy, |id, _, _, _| {
+            if id == 1 {
+                return Err(ReduceError::MissingCharacterization {
+                    reason: "no table".to_string(),
+                });
+            }
+            Ok(id)
+        });
         assert!(
             matches!(res, Err(ReduceError::MissingCharacterization { .. })),
             "precondition failures must not burn the retry budget"
         );
-    }
-
-    #[test]
-    fn on_sealed_sees_every_outcome_and_may_abort() {
-        let items: Vec<(u64, u64)> = (0..6).map(|i| (i, i)).collect();
-        let exec = ExecConfig::new(3).with_chaos(ChaosPolicy::fail_jobs(&[4]));
-        let sealed = Mutex::new(Vec::new());
-        let reports = parallel_map_resilient(
-            &items,
-            &exec,
-            Stage::Characterize,
-            |id, _, _, _| Ok(id),
-            |report| {
-                if let Ok(mut log) = sealed.lock() {
-                    log.push(report.job);
-                }
-                Ok(())
-            },
-        )
-        .expect("quarantine is not fatal");
-        let mut seen = sealed.into_inner().expect("no poisoning");
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-        assert!(matches!(reports[4].status, JobStatus::Quarantined { .. }));
-        let res = parallel_map_resilient(
-            &items,
-            &ExecConfig::new(2),
-            Stage::Characterize,
-            |id, _, _, _| Ok(id),
-            |report| {
-                if report.job == 3 {
-                    return Err(ReduceError::InvalidConfig {
-                        what: "journal write failed".to_string(),
-                    });
-                }
-                Ok(())
-            },
-        );
-        assert!(matches!(res, Err(ReduceError::InvalidConfig { .. })));
     }
 }

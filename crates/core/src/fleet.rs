@@ -25,7 +25,7 @@
 use crate::error::{ReduceError, Result};
 use crate::exec::{self, ExecConfig, JobStatus};
 use crate::fat::{FatRunner, Mitigation, StopRule};
-use crate::journal::{Checkpoint, JournalRecord};
+use crate::journal::{self, Checkpoint, JournalRecord};
 use crate::policy::RetrainPolicy;
 use crate::resilience::ResilienceTable;
 use crate::telemetry::{self, EpochScope, Event, Stage};
@@ -108,24 +108,6 @@ pub enum SealedChip {
     Retrained(ChipOutcome),
     /// The chip exhausted its retry budget.
     Quarantined(QuarantinedChip),
-}
-
-impl SealedChip {
-    /// The chip's identifier.
-    pub fn chip_id(&self) -> usize {
-        match self {
-            SealedChip::Retrained(c) => c.chip_id,
-            SealedChip::Quarantined(q) => q.chip_id,
-        }
-    }
-
-    /// The chip's containment status.
-    pub fn status(&self) -> ChipStatus {
-        match self {
-            SealedChip::Retrained(_) => ChipStatus::Ok,
-            SealedChip::Quarantined(_) => ChipStatus::Quarantined,
-        }
-    }
 }
 
 /// How the epoch-budget scheduler shares retraining across a batch.
@@ -383,14 +365,6 @@ struct BatchPlan {
     members: Vec<ChipPlan>,
 }
 
-/// The sealed output of one batch, fresh or replayed.
-struct BatchResult {
-    clusters: Vec<Cluster>,
-    chips: Vec<SealedChip>,
-    workspace: WorkspaceStats,
-    events: Vec<Event>,
-}
-
 /// Streaming accumulator behind [`FleetReport`] — absorbs sealed chips
 /// one at a time in scheduler order.
 struct ReportAccumulator {
@@ -426,36 +400,51 @@ impl ReportAccumulator {
         }
     }
 
-    fn absorb(&mut self, sealed: SealedChip) -> Result<()> {
-        match sealed {
-            SealedChip::Retrained(c) => {
-                // FAT runs guard this at the source; re-check here so a
-                // hand-edited journal can't slip a NaN into the
-                // aggregates, where it would poison the mean and vanish
-                // in `min` comparisons.
-                if !c.final_accuracy.is_finite() {
-                    return Err(ReduceError::Divergence {
-                        what: format!("chip {} final accuracy is {}", c.chip_id, c.final_accuracy),
-                    });
+    /// Folds one batch's record, fresh or replayed, chip by chip in
+    /// scheduler order.
+    fn fold(&mut self, record: JournalRecord) -> Result<()> {
+        let JournalRecord::FleetBatch {
+            clusters, chips, ..
+        } = record
+        else {
+            return Err(ReduceError::Internal {
+                invariant: "batch-keyed journal records are fleet-batch records".to_string(),
+            });
+        };
+        self.clusters += clusters.len();
+        for sealed in chips {
+            let c = match sealed {
+                SealedChip::Retrained(c) => c,
+                SealedChip::Quarantined(q) => {
+                    self.quarantined.push(q);
+                    continue;
                 }
-                self.evaluated += 1;
-                self.total_epochs += c.epochs_run;
-                if c.meets_constraint {
-                    self.satisfied += 1;
-                }
-                self.accuracy_sum += f64::from(c.final_accuracy);
-                self.min_accuracy = self.min_accuracy.min(c.final_accuracy);
-                self.max_accuracy = self.max_accuracy.max(c.final_accuracy);
-                *self.epoch_histogram.entry(c.epochs_run).or_insert(0) += 1;
-                if c.warm_started {
-                    self.warm_started += 1;
-                    self.warm_start_epochs_saved += c.epochs_budgeted.saturating_sub(c.epochs_run);
-                }
-                if let Some(outcomes) = &mut self.outcomes {
-                    outcomes.push(c);
-                }
+            };
+            // FAT runs guard this at the source; re-check here so a
+            // hand-edited journal can't slip a NaN into the aggregates,
+            // where it would poison the mean and vanish in `min`
+            // comparisons.
+            if !c.final_accuracy.is_finite() {
+                return Err(ReduceError::Divergence {
+                    what: format!("chip {} final accuracy is {}", c.chip_id, c.final_accuracy),
+                });
             }
-            SealedChip::Quarantined(q) => self.quarantined.push(q),
+            self.evaluated += 1;
+            self.total_epochs += c.epochs_run;
+            if c.meets_constraint {
+                self.satisfied += 1;
+            }
+            self.accuracy_sum += f64::from(c.final_accuracy);
+            self.min_accuracy = self.min_accuracy.min(c.final_accuracy);
+            self.max_accuracy = self.max_accuracy.max(c.final_accuracy);
+            *self.epoch_histogram.entry(c.epochs_run).or_insert(0) += 1;
+            if c.warm_started {
+                self.warm_started += 1;
+                self.warm_start_epochs_saved += c.epochs_budgeted.saturating_sub(c.epochs_run);
+            }
+            if let Some(outcomes) = &mut self.outcomes {
+                outcomes.push(c);
+            }
         }
         Ok(())
     }
@@ -530,11 +519,9 @@ pub struct FleetEvaluation<'a> {
     constraint: f32,
     source: Option<&'a dyn ChipSource>,
     table: Option<&'a ResilienceTable>,
-    strategy: Mitigation,
     fleet_strategy: FleetStrategy,
     early_stop: bool,
     cost_model: Option<CostModel>,
-    seed: u64,
     window: usize,
     batch_cap: usize,
     journal: Option<&'a Checkpoint>,
@@ -551,6 +538,9 @@ impl<'a> FleetEvaluation<'a> {
     /// workspace lifetime and the size of one journal record.
     pub const DEFAULT_BATCH_CAP: usize = 32;
 
+    /// Per-chip run-seed base: chip `id` trains from `RUN_SEED + id`.
+    const RUN_SEED: u64 = 0xF1EE7;
+
     /// A plain-FAP evaluation of `policy` against `constraint`; configure
     /// the rest with the builder methods and launch with
     /// [`FleetEvaluation::run`].
@@ -560,11 +550,9 @@ impl<'a> FleetEvaluation<'a> {
             constraint,
             source: None,
             table: None,
-            strategy: Mitigation::Fap,
             fleet_strategy: FleetStrategy::PerChip,
             early_stop: false,
             cost_model: None,
-            seed: 0xF1EE7,
             window: Self::DEFAULT_WINDOW,
             batch_cap: Self::DEFAULT_BATCH_CAP,
             journal: None,
@@ -585,13 +573,6 @@ impl<'a> FleetEvaluation<'a> {
     #[must_use]
     pub fn table(mut self, table: &'a ResilienceTable) -> Self {
         self.table = Some(table);
-        self
-    }
-
-    /// Mitigation strategy (FAP per the paper; FAM as ablation).
-    #[must_use]
-    pub fn strategy(mut self, strategy: Mitigation) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -620,13 +601,6 @@ impl<'a> FleetEvaluation<'a> {
     #[must_use]
     pub fn cost_model(mut self, cost_model: CostModel) -> Self {
         self.cost_model = Some(cost_model);
-        self
-    }
-
-    /// Per-chip run-seed base (decorrelates shuffling across chips).
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -746,51 +720,36 @@ impl<'a> FleetEvaluation<'a> {
         let n = source.len();
 
         // Index the journal's batch-keyed records for this policy.
-        let mut replayed: BTreeMap<(usize, usize, usize), JournalRecord> = BTreeMap::new();
-        if let Some(cp) = self.journal {
-            for record in cp.records()? {
-                if let Some((policy, window, budget, chunk)) = record.batch_key() {
-                    if policy == policy_label {
-                        replayed.insert((window, budget, chunk), record);
-                    }
+        let mut replayed = BTreeMap::new();
+        let journaled = self.journal.map(Checkpoint::records).transpose()?;
+        for record in journaled.unwrap_or_default() {
+            if let Some((policy, window, budget, chunk)) = record.batch_key() {
+                if policy == policy_label {
+                    replayed.insert((window, budget, chunk), record);
                 }
             }
         }
 
         let accumulator = telemetry::timed_stage(exec.observer(), Stage::Deploy, || {
             let mut acc = ReportAccumulator::new(self.collect_outcomes);
-            let mut stage_ws = WorkspaceStats::default();
+            let mut workspace = WorkspaceStats::default();
             let mut window_index = 0usize;
             let mut start = 0usize;
             while start < n {
                 let end = (start + self.window).min(n);
                 let plans = self.schedule_window(source, window_index, start..end)?;
-                self.run_window(
-                    runner,
-                    pretrained,
-                    source,
-                    exec,
-                    &policy_label,
+                workspace.merge(&journal::run_or_replay(
                     &plans,
-                    &replayed,
-                    &mut acc,
-                    &mut stage_ws,
-                )?;
+                    exec,
+                    self.journal,
+                    |plan| replayed.remove(&(plan.window, plan.budget, plan.chunk)),
+                    |plan| self.run_batch(runner, pretrained, source, exec, &policy_label, plan),
+                    |record| acc.fold(record),
+                )?);
                 window_index += 1;
                 start = end;
             }
-            exec.observer().on_event(&Event::WorkspaceUsed {
-                stage: Stage::Deploy,
-                hits: stage_ws.hits,
-                misses: stage_ws.misses,
-                bytes_allocated: stage_ws.bytes_allocated,
-            });
-            if self.journal.is_some() {
-                exec.observer().on_event(&Event::CheckpointWritten {
-                    stage: Stage::Deploy,
-                    completed: n,
-                });
-            }
+            journal::close_stage(exec, Stage::Deploy, workspace, self.journal, n);
             Ok::<_, ReduceError>(acc)
         })?;
 
@@ -842,56 +801,10 @@ impl<'a> FleetEvaluation<'a> {
         Ok(plans)
     }
 
-    /// Executes one window's batches (replaying journaled ones) and
-    /// stitches their outputs into the accumulator in scheduler order.
-    #[allow(clippy::too_many_arguments)] // internal plumbing of one call site
-    fn run_window(
-        &self,
-        runner: &FatRunner,
-        pretrained: &Pretrained,
-        source: &dyn ChipSource,
-        exec: &ExecConfig,
-        policy_label: &str,
-        plans: &[BatchPlan],
-        replayed: &BTreeMap<(usize, usize, usize), JournalRecord>,
-        acc: &mut ReportAccumulator,
-        stage_ws: &mut WorkspaceStats,
-    ) -> Result<()> {
-        // Partition into journal-replayable and fresh batches.
-        let fresh: Vec<&BatchPlan> = plans
-            .iter()
-            .filter(|plan| !replayed.contains_key(&(plan.window, plan.budget, plan.chunk)))
-            .collect();
-        let fresh_results = exec::parallel_map(&fresh, exec.threads, |_, plan| {
-            self.run_batch(runner, pretrained, source, exec, policy_label, plan)
-        })?;
-        let mut fresh_iter = fresh_results.into_iter();
-        for plan in plans {
-            let result = if let Some(record) = replayed.get(&(plan.window, plan.budget, plan.chunk))
-            {
-                replay_batch(record)?
-            } else {
-                fresh_iter.next().ok_or_else(|| ReduceError::Internal {
-                    invariant: "every scheduled batch is either replayed or freshly run"
-                        .to_string(),
-                })?
-            };
-            for event in &result.events {
-                exec.observer().on_event(event);
-            }
-            stage_ws.merge(&result.workspace);
-            acc.clusters += result.clusters.len();
-            for sealed in result.chips {
-                acc.absorb(sealed)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Runs one batch of same-budget chips through a shared workspace
-    /// pool, seals every chip (retrained or quarantined) and journals the
-    /// batch. Runs on an executor worker; all telemetry is buffered into
-    /// the result for in-order flushing.
+    /// pool and seals every chip (retrained or quarantined) into the
+    /// batch's journal record. Runs on an executor worker; all telemetry
+    /// is buffered into the record for in-order flushing.
     fn run_batch(
         &self,
         runner: &FatRunner,
@@ -900,7 +813,7 @@ impl<'a> FleetEvaluation<'a> {
         exec: &ExecConfig,
         policy_label: &str,
         plan: &BatchPlan,
-    ) -> Result<BatchResult> {
+    ) -> Result<JournalRecord> {
         let pool = RefCell::new(Workspace::new());
         let (clusters, chips, events) = match &self.fleet_strategy {
             FleetStrategy::PerChip => {
@@ -927,19 +840,11 @@ impl<'a> FleetEvaluation<'a> {
             }
         };
         let workspace = pool.borrow().stats();
-        if let Some(cp) = self.journal {
-            cp.append(JournalRecord::FleetBatch {
-                policy: policy_label.to_string(),
-                window: plan.window,
-                budget: plan.budget,
-                chunk: plan.chunk,
-                clusters: clusters.clone(),
-                chips: chips.clone(),
-                workspace,
-                events: events.clone(),
-            })?;
-        }
-        Ok(BatchResult {
+        Ok(JournalRecord::FleetBatch {
+            policy: policy_label.to_string(),
+            window: plan.window,
+            budget: plan.budget,
+            chunk: plan.chunk,
             clusters,
             chips,
             workspace,
@@ -1127,10 +1032,10 @@ impl<'a> FleetEvaluation<'a> {
             chip.fault_map(),
             member.budget,
             stop,
-            self.strategy,
+            Mitigation::Fap,
             // `salt` is 0 on the first attempt; retries re-randomise the
             // chip's training shuffle without touching its fault map.
-            self.seed.wrapping_add(chip.id() as u64) ^ salt,
+            Self::RUN_SEED.wrapping_add(chip.id() as u64) ^ salt,
             Some(&mut pool),
             &mut |epoch, accuracy| {
                 events.push(Event::EpochCompleted {
@@ -1163,27 +1068,6 @@ impl<'a> FleetEvaluation<'a> {
             warm_started: warm_from.is_some(),
         };
         Ok((chip_outcome, std::mem::take(&mut outcome.final_state)))
-    }
-}
-
-/// Reconstructs a batch's output from its journal record.
-fn replay_batch(record: &JournalRecord) -> Result<BatchResult> {
-    match record {
-        JournalRecord::FleetBatch {
-            clusters,
-            chips,
-            workspace,
-            events,
-            ..
-        } => Ok(BatchResult {
-            clusters: clusters.clone(),
-            chips: chips.clone(),
-            workspace: *workspace,
-            events: events.clone(),
-        }),
-        _ => Err(ReduceError::Internal {
-            invariant: "batch-keyed journal records are fleet-batch records".to_string(),
-        }),
     }
 }
 

@@ -239,7 +239,6 @@ impl Reduce {
         };
         let mut eval = FleetEvaluation::new(policy, self.constraint)
             .source(&fleet)
-            .strategy(Mitigation::Fap)
             .exec(exec)
             .collect_outcomes(true);
         if let Some(table) = table.as_ref() {

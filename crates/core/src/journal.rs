@@ -62,9 +62,10 @@
 //! resumable entry points ([`crate::ResilienceAnalysis::run_resumable`],
 //! [`crate::FleetEvaluation::run`]) replay the recorded outcomes —
 //! including their buffered telemetry events, re-emitted bit-identically —
-//! and compute only the missing jobs. Records carry the stable job id the
-//! retry/chaos layer keys on, so a resumed run salts and injects exactly
-//! like an uninterrupted one.
+//! and compute only the missing jobs, both through one function,
+//! `run_or_replay`, which folds fresh and replayed records alike. Records
+//! carry the stable job id the retry/chaos layer keys on, so a resumed run
+//! salts and injects exactly like an uninterrupted one.
 //!
 //! Journal lines are written in *completion* order, which depends on
 //! thread scheduling; determinism lives in the replayed artifacts (run
@@ -72,10 +73,11 @@
 
 use crate::artifact::write_atomic;
 use crate::error::{CorruptKind, ReduceError, Result};
+use crate::exec::{self, ExecConfig};
 use crate::fleet::{ChipOutcome, QuarantinedChip, SealedChip};
 use crate::resilience::ResiliencePoint;
 use crate::telemetry::json::{parse, push_json_f32, push_json_f64, push_json_string, JsonValue};
-use crate::telemetry::{parse_event, render_event, Event, NullObserver, Observer};
+use crate::telemetry::{parse_event, render_event, Event, NullObserver, Observer, Stage};
 use reduce_nn::WorkspaceStats;
 use reduce_systolic::Cluster;
 use std::path::{Path, PathBuf};
@@ -327,9 +329,8 @@ struct CheckpointState {
 /// maintained manifest-plus-shards layout.
 ///
 /// Appends are serialised through an internal mutex, so a `Checkpoint` can
-/// be shared by the executor's worker threads (the `on_sealed` hook of
-/// [`crate::exec::parallel_map_resilient`], or the fleet evaluator's batch
-/// jobs).
+/// be shared by the executor's worker threads: `run_or_replay` appends
+/// each record from the worker that sealed it.
 pub struct Checkpoint {
     path: PathBuf,
     state: Mutex<CheckpointState>,
@@ -526,6 +527,93 @@ impl Checkpoint {
             }
         }
         Ok(())
+    }
+}
+
+/// How a journaled stage (Step ①'s grid cells, Step ③'s fleet batches)
+/// resumes: units `journaled` finds a record for are replayed, the rest
+/// are sealed by `seal` on the executor's workers, each fresh record
+/// appended to `checkpoint` as soon as it is sealed. Every record, fresh
+/// or replayed, then folds through one path in unit order: its events to
+/// `exec`'s observer, its workspace counters into the returned stage
+/// total, the record itself to `fold`. A fresh run thus folds exactly the
+/// records a resumed run replays.
+///
+/// # Errors
+///
+/// The lowest-indexed failing `seal` or checkpoint append (either aborts
+/// the fan-out), then the first `fold` error.
+pub(crate) fn run_or_replay<U, L, S, F>(
+    units: &[U],
+    exec: &ExecConfig,
+    checkpoint: Option<&Checkpoint>,
+    journaled: L,
+    seal: S,
+    mut fold: F,
+) -> Result<WorkspaceStats>
+where
+    U: Sync,
+    L: FnMut(&U) -> Option<JournalRecord>,
+    S: Fn(&U) -> Result<JournalRecord> + Sync,
+    F: FnMut(JournalRecord) -> Result<()>,
+{
+    let replayed: Vec<Option<JournalRecord>> = units.iter().map(journaled).collect();
+    let missing: Vec<&U> = units
+        .iter()
+        .zip(&replayed)
+        .filter_map(|(unit, record)| record.is_none().then_some(unit))
+        .collect();
+    let fresh = exec::parallel_map(&missing, exec.threads, |_, unit| {
+        let record = seal(unit)?;
+        if let Some(cp) = checkpoint {
+            cp.append(record.clone())?;
+        }
+        Ok(record)
+    })?;
+    let mut fresh = fresh.into_iter();
+    let mut total = WorkspaceStats::default();
+    for record in replayed {
+        let record = record
+            .or_else(|| fresh.next())
+            .ok_or_else(|| ReduceError::Internal {
+                invariant: "every unit is either replayed or freshly sealed".to_string(),
+            })?;
+        let (events, workspace) = match &record {
+            JournalRecord::Point {
+                events, workspace, ..
+            }
+            | JournalRecord::FleetBatch {
+                events, workspace, ..
+            } => (events, *workspace),
+            JournalRecord::PointFailed { events, .. } => (events, WorkspaceStats::default()),
+        };
+        for event in events {
+            exec.observer().on_event(event);
+        }
+        total.merge(&workspace);
+        fold(record)?;
+    }
+    Ok(total)
+}
+
+/// Closes a stage [`run_or_replay`] ran: its summed workspace counters,
+/// then, when journaled, that the journal covers all `completed` jobs.
+pub(crate) fn close_stage(
+    exec: &ExecConfig,
+    stage: Stage,
+    workspace: WorkspaceStats,
+    checkpoint: Option<&Checkpoint>,
+    completed: usize,
+) {
+    exec.observer().on_event(&Event::WorkspaceUsed {
+        stage,
+        hits: workspace.hits,
+        misses: workspace.misses,
+        bytes_allocated: workspace.bytes_allocated,
+    });
+    if checkpoint.is_some() {
+        exec.observer()
+            .on_event(&Event::CheckpointWritten { stage, completed });
     }
 }
 
@@ -2412,5 +2500,150 @@ mod tests {
                 cleanup(&path);
             }
         }
+    }
+
+    /// A grid-cell record for unit `i`; `origin` (0 fresh, 1 replayed)
+    /// rides in the workspace misses so a fold can tell the two apart.
+    fn unit_record(i: u64, origin: u64) -> JournalRecord {
+        let JournalRecord::Point { point, .. } = point_record() else {
+            unreachable!("point_record builds a point")
+        };
+        JournalRecord::Point {
+            job: i,
+            point: ResiliencePoint {
+                rate_index: i as usize,
+                ..point
+            },
+            workspace: WorkspaceStats {
+                hits: i,
+                misses: origin,
+                bytes_allocated: 8,
+            },
+            events: vec![unit_event(i)],
+        }
+    }
+
+    fn unit_event(i: u64) -> Event {
+        Event::EpochCompleted {
+            scope: EpochScope::Chip {
+                chip_id: i as usize,
+            },
+            epoch: 1,
+            accuracy: 0.5,
+        }
+    }
+
+    #[test]
+    fn run_or_replay_seals_only_missing_units_and_folds_in_unit_order() {
+        let units: Vec<u64> = (0..8).collect();
+        let journaled = [1u64, 4, 6];
+        let expected: Vec<JournalRecord> = units
+            .iter()
+            .map(|&i| unit_record(i, u64::from(journaled.contains(&i))))
+            .collect();
+        for threads in [1usize, 3] {
+            let log = std::sync::Arc::new(EventLog::default());
+            let exec = ExecConfig::new(threads).with_observer(log.clone());
+            let sealed = Mutex::new(Vec::new());
+            let mut folded = Vec::new();
+            let total = run_or_replay(
+                &units,
+                &exec,
+                None,
+                |&i| journaled.contains(&i).then(|| unit_record(i, 1)),
+                |&i| {
+                    sealed.lock().expect("no poisoning").push(i);
+                    Ok(unit_record(i, 0))
+                },
+                |record| {
+                    folded.push(record);
+                    Ok(())
+                },
+            )
+            .expect("nothing fails");
+            let mut sealed = sealed.into_inner().expect("no poisoning");
+            sealed.sort_unstable();
+            assert_eq!(sealed, [0, 2, 3, 5, 7], "{threads} threads");
+            assert_eq!(folded, expected, "{threads} threads");
+            let events: Vec<Event> = units.iter().map(|&i| unit_event(i)).collect();
+            assert_eq!(*log.0.lock().expect("no poisoning"), events);
+            assert_eq!((total.hits, total.misses), (28, 3), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn run_or_replay_journals_every_fresh_record_and_aborts_on_the_lowest_error() {
+        let path = scratch("run_or_replay");
+        cleanup(&path);
+        let units: Vec<u64> = (0..6).collect();
+        let exec = ExecConfig::new(3);
+        // Unit 2 is a quarantined cell: journaled like any other record.
+        let seal = |&i: &u64| {
+            Ok(if i == 2 {
+                small_record(i)
+            } else {
+                unit_record(i, 0)
+            })
+        };
+        let checkpoint = Checkpoint::create(&path);
+        let mut fresh = Vec::new();
+        run_or_replay(
+            &units,
+            &exec,
+            Some(&checkpoint),
+            |_| None,
+            seal,
+            |record| {
+                fresh.push(record);
+                Ok(())
+            },
+        )
+        .expect("nothing fails");
+        let mut journal = Checkpoint::resume(&path)
+            .expect("resumes")
+            .records()
+            .expect("records");
+        // Appends land in completion order; compare in unit order.
+        journal.sort_by_key(|record| match record {
+            JournalRecord::Point { job, .. } | JournalRecord::PointFailed { job, .. } => *job,
+            JournalRecord::FleetBatch { .. } => u64::MAX,
+        });
+        assert_eq!(journal, fresh, "every fresh record is journaled");
+        assert!(matches!(
+            journal[2],
+            JournalRecord::PointFailed { job: 2, .. }
+        ));
+
+        let failing = |&i: &u64| match i {
+            2 | 5 => Err(ReduceError::InvalidConfig {
+                what: format!("unit {i}"),
+            }),
+            _ => Ok(unit_record(i, 0)),
+        };
+        let res = run_or_replay(&units, &exec, None, |_| None, failing, |_| Ok(()));
+        assert!(
+            matches!(&res, Err(ReduceError::InvalidConfig { what }) if what == "unit 2"),
+            "{res:?}"
+        );
+        // An append that cannot land (a file blocks the journal's
+        // directory) aborts the fan-out before anything is folded.
+        let blocked = Checkpoint::create(&path.join("journal.jsonl"));
+        let res = run_or_replay(
+            &units,
+            &exec,
+            Some(&blocked),
+            |_| None,
+            seal,
+            |_| {
+                Err(ReduceError::Internal {
+                    invariant: "an aborted fan-out folds nothing".to_string(),
+                })
+            },
+        );
+        assert!(
+            matches!(&res, Err(ReduceError::InvalidConfig { what }) if what.contains("journal")),
+            "{res:?}"
+        );
+        cleanup(&path);
     }
 }

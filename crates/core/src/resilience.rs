@@ -14,9 +14,9 @@
 //!   amount for an arbitrary chip.
 
 use crate::error::{ReduceError, Result};
-use crate::exec::{self, ExecConfig, JobStatus};
+use crate::exec::{self, ExecConfig, JobReport, JobStatus};
 use crate::fat::{FatRunner, Mitigation, StopRule};
-use crate::journal::{Checkpoint, JournalRecord};
+use crate::journal::{self, Checkpoint, JournalRecord};
 use crate::telemetry::{self, EpochScope, Event, Stage};
 use crate::workbench::Pretrained;
 use reduce_nn::WorkspaceStats;
@@ -396,189 +396,87 @@ impl ResilienceAnalysis {
                 (0..repeats).map(move |rep| ((ri * repeats + rep) as u64, (ri, rate, rep)))
             })
             .collect();
-        let mut replayed: BTreeMap<(usize, usize), JournalRecord> = BTreeMap::new();
-        if let Some(cp) = checkpoint {
-            for record in cp.records()? {
-                if let Some(key) = record.grid_key() {
-                    replayed.insert(key, record);
-                }
+        let mut replayed = BTreeMap::new();
+        for record in checkpoint
+            .map(Checkpoint::records)
+            .transpose()?
+            .unwrap_or_default()
+        {
+            if let Some(key) = record.grid_key() {
+                replayed.insert(key, record);
             }
         }
-        let missing: Vec<(u64, (usize, f64, usize))> = cells
-            .iter()
-            .filter(|(_, (ri, _, rep))| !replayed.contains_key(&(*ri, *rep)))
-            .copied()
-            .collect();
-        let (points, failures) =
-            telemetry::timed_stage(exec.observer(), Stage::Characterize, || {
-                let repeats = config.repeats;
-                let fresh = exec::parallel_map_resilient(
-                    &missing,
-                    exec,
-                    Stage::Characterize,
-                    |_, &(ri, rate, rep), salt, events| {
-                        let map_seed = config
-                            .seed
-                            .wrapping_add((ri as u64) << 32)
-                            .wrapping_add(rep as u64);
-                        // The fault map is the cell's identity and survives
-                        // retries; the salt only re-randomises training.
-                        let map =
-                            FaultMap::generate(rows, cols, rate, config.fault_model, map_seed)?;
-                        let outcome = runner.run_from(
-                            &pretrained.state,
-                            &map,
-                            config.max_epochs,
-                            StopRule::Exact,
-                            config.strategy,
-                            map_seed ^ 0x5EED ^ salt,
-                            None,
-                            &mut |epoch, accuracy| {
-                                events.push(Event::EpochCompleted {
-                                    scope: EpochScope::Point {
-                                        rate_index: ri,
-                                        repeat: rep,
-                                    },
-                                    epoch,
-                                    accuracy,
-                                });
-                            },
-                        )?;
-                        outcome.ensure_finite()?;
-                        let final_accuracy = outcome.final_accuracy();
-                        let epochs_to_constraint = outcome.epochs_to_reach(config.constraint);
-                        events.push(Event::PointFinished {
-                            rate_index: ri,
-                            rate,
-                            repeat: rep,
-                            epochs_to_constraint,
-                            pre_retrain_accuracy: outcome.pre_retrain_accuracy,
-                            final_accuracy,
-                        });
-                        let point = ResiliencePoint {
-                            rate_index: ri,
-                            rate,
-                            repeat: rep,
-                            pre_retrain_accuracy: outcome.pre_retrain_accuracy,
-                            epochs_to_constraint,
-                            accuracy_after_epoch: outcome.accuracy_after_epoch,
-                        };
-                        Ok((point, outcome.workspace))
-                    },
-                    |report| {
-                        let Some(cp) = checkpoint else {
-                            return Ok(());
-                        };
-                        let record = match &report.status {
-                            JobStatus::Ok((point, workspace)) => JournalRecord::Point {
-                                job: report.job,
-                                point: point.clone(),
-                                workspace: *workspace,
-                                events: report.events.clone(),
-                            },
-                            JobStatus::Quarantined { attempts, error } => {
-                                let ri = (report.job as usize) / repeats;
-                                JournalRecord::PointFailed {
-                                    job: report.job,
-                                    rate_index: ri,
-                                    rate: rates.get(ri).copied().unwrap_or(f64::NAN),
-                                    repeat: (report.job as usize) % repeats,
-                                    attempts: *attempts,
-                                    error: error.clone(),
-                                    events: report.events.clone(),
-                                }
-                            }
-                        };
-                        cp.append(record)
-                    },
-                )?;
-                let mut fresh_by_job: BTreeMap<u64, _> =
-                    fresh.into_iter().map(|r| (r.job, r)).collect();
-                // Stitch replayed and fresh outcomes back into full-grid order;
-                // the event stream, points and aggregates below are therefore
-                // independent of both thread count and the resume split.
-                let mut points = Vec::with_capacity(cells.len());
-                let mut failures = Vec::new();
-                let mut ws = WorkspaceStats::default();
-                for &(job, (ri, rate, rep)) in &cells {
-                    if let Some(record) = replayed.get(&(ri, rep)) {
-                        match record {
-                            JournalRecord::Point {
-                                point,
-                                workspace,
-                                events,
-                                ..
-                            } => {
-                                for e in events {
-                                    exec.observer().on_event(e);
-                                }
-                                ws.merge(workspace);
-                                points.push(point.clone());
-                            }
-                            JournalRecord::PointFailed {
-                                attempts,
-                                error,
-                                events,
-                                ..
-                            } => {
-                                for e in events {
-                                    exec.observer().on_event(e);
-                                }
-                                failures.push(FailedPoint {
-                                    rate_index: ri,
-                                    rate,
-                                    repeat: rep,
-                                    attempts: *attempts,
-                                    error: error.clone(),
-                                });
-                            }
-                            _ => {
-                                return Err(ReduceError::Internal {
-                                    invariant: "grid-keyed journal records are point records"
-                                        .to_string(),
-                                })
-                            }
-                        }
-                    } else if let Some(report) = fresh_by_job.remove(&job) {
-                        for e in &report.events {
-                            exec.observer().on_event(e);
-                        }
-                        match report.status {
-                            JobStatus::Ok((point, stats)) => {
-                                ws.merge(&stats);
-                                points.push(point);
-                            }
-                            JobStatus::Quarantined { attempts, error } => {
-                                failures.push(FailedPoint {
-                                    rate_index: ri,
-                                    rate,
-                                    repeat: rep,
-                                    attempts,
-                                    error,
-                                });
-                            }
-                        }
-                    } else {
-                        return Err(ReduceError::Internal {
-                            invariant: "every grid cell is either replayed or freshly run"
-                                .to_string(),
-                        });
-                    }
-                }
-                exec.observer().on_event(&Event::WorkspaceUsed {
-                    stage: Stage::Characterize,
-                    hits: ws.hits,
-                    misses: ws.misses,
-                    bytes_allocated: ws.bytes_allocated,
-                });
-                if checkpoint.is_some() {
-                    exec.observer().on_event(&Event::CheckpointWritten {
-                        stage: Stage::Characterize,
-                        completed: cells.len(),
-                    });
-                }
-                Ok::<_, ReduceError>((points, failures))
-            })?;
+        let mut points = Vec::with_capacity(cells.len());
+        let mut failures = Vec::new();
+        telemetry::timed_stage(exec.observer(), Stage::Characterize, || {
+            let ws = journal::run_or_replay(
+                &cells,
+                exec,
+                checkpoint,
+                |&(_, (ri, _, rep))| replayed.remove(&(ri, rep)),
+                |&(job, cell)| {
+                    let report = exec::run_job_resilient(
+                        job,
+                        &cell,
+                        exec,
+                        Stage::Characterize,
+                        &|_, &(ri, rate, rep), salt, events| {
+                            let map_seed = config
+                                .seed
+                                .wrapping_add((ri as u64) << 32)
+                                .wrapping_add(rep as u64);
+                            // The fault map is the cell's identity and survives
+                            // retries; the salt only re-randomises training.
+                            let map =
+                                FaultMap::generate(rows, cols, rate, config.fault_model, map_seed)?;
+                            let outcome = runner.run_from(
+                                &pretrained.state,
+                                &map,
+                                config.max_epochs,
+                                StopRule::Exact,
+                                config.strategy,
+                                map_seed ^ 0x5EED ^ salt,
+                                None,
+                                &mut |epoch, accuracy| {
+                                    events.push(Event::EpochCompleted {
+                                        scope: EpochScope::Point {
+                                            rate_index: ri,
+                                            repeat: rep,
+                                        },
+                                        epoch,
+                                        accuracy,
+                                    });
+                                },
+                            )?;
+                            outcome.ensure_finite()?;
+                            let final_accuracy = outcome.final_accuracy();
+                            let epochs_to_constraint = outcome.epochs_to_reach(config.constraint);
+                            events.push(Event::PointFinished {
+                                rate_index: ri,
+                                rate,
+                                repeat: rep,
+                                epochs_to_constraint,
+                                pre_retrain_accuracy: outcome.pre_retrain_accuracy,
+                                final_accuracy,
+                            });
+                            let point = ResiliencePoint {
+                                rate_index: ri,
+                                rate,
+                                repeat: rep,
+                                pre_retrain_accuracy: outcome.pre_retrain_accuracy,
+                                epochs_to_constraint,
+                                accuracy_after_epoch: outcome.accuracy_after_epoch,
+                            };
+                            Ok((point, outcome.workspace))
+                        },
+                    )?;
+                    Ok(cell_record(cell, report))
+                },
+                |record| fold_cell(record, &mut points, &mut failures),
+            )?;
+            journal::close_stage(exec, Stage::Characterize, ws, checkpoint, cells.len());
+            Ok::<_, ReduceError>(())
+        })?;
         let summaries = summarise(&rates, &points, &failures, &config);
         Ok(ResilienceAnalysis {
             config,
@@ -624,6 +522,66 @@ impl ResilienceAnalysis {
             epoch_cap: self.config.max_epochs,
         }
     }
+}
+
+/// Seals one grid cell's resilient run as its journal record.
+fn cell_record(
+    (rate_index, rate, repeat): (usize, f64, usize),
+    report: JobReport<(ResiliencePoint, WorkspaceStats)>,
+) -> JournalRecord {
+    let JobReport {
+        job,
+        status,
+        events,
+    } = report;
+    match status {
+        JobStatus::Ok((point, workspace)) => JournalRecord::Point {
+            job,
+            point,
+            workspace,
+            events,
+        },
+        JobStatus::Quarantined { attempts, error } => JournalRecord::PointFailed {
+            job,
+            rate_index,
+            rate,
+            repeat,
+            attempts,
+            error,
+            events,
+        },
+    }
+}
+
+/// Folds one grid cell's record, fresh or replayed, into the analysis.
+fn fold_cell(
+    record: JournalRecord,
+    points: &mut Vec<ResiliencePoint>,
+    failures: &mut Vec<FailedPoint>,
+) -> Result<()> {
+    match record {
+        JournalRecord::Point { point, .. } => points.push(point),
+        JournalRecord::PointFailed {
+            rate_index,
+            rate,
+            repeat,
+            attempts,
+            error,
+            ..
+        } => failures.push(FailedPoint {
+            rate_index,
+            rate,
+            repeat,
+            attempts,
+            error,
+        }),
+        JournalRecord::FleetBatch { .. } => {
+            return Err(ReduceError::Internal {
+                invariant: "grid-keyed journal records are point records".to_string(),
+            })
+        }
+    }
+    Ok(())
 }
 
 fn summarise(

@@ -24,7 +24,7 @@
 //!   workspace-arena allocation counters over the stage's jobs;
 //! * [`Event::JobFailed`] / [`Event::RetryScheduled`] /
 //!   [`Event::DivergenceRecovered`] — the retry history of a contained
-//!   job failure (see [`crate::exec::parallel_map_resilient`]);
+//!   job failure (see [`crate::exec::run_job_resilient`]);
 //! * [`Event::CheckpointWritten`] — the resume journal covers a stage's
 //!   full fan-out;
 //! * [`Event::ShardTruncated`] / [`Event::RecordDropped`] — self-healing
@@ -36,10 +36,10 @@
 //! The event *sequence* is identical at any thread count: events carry
 //! logical indices (`rate_index`, `repeat`, `chip_id`), and each parallel
 //! job buffers its events in its own [`crate::exec::JobReport`] (from
-//! [`crate::exec::parallel_map_resilient`] for grid cells,
-//! [`crate::exec::run_job_resilient`] for fleet chips inside a batch).
-//! The stage flushes those buffers to the observer in input order after
-//! the fan-out completes, interleaved with any journal-replayed events. The
+//! [`crate::exec::run_job_resilient`], per grid cell and per fleet chip
+//! inside a batch), sealed into the unit's journal record. After the
+//! fan-out completes, the stage flushes every record's events — fresh
+//! or journal-replayed alike — to the observer in input order. The
 //! only non-deterministic payload is wall-clock time, which is confined
 //! to [`Event::StageFinished::seconds`] and redactable at the sink
 //! ([`RunLog`]'s `redact_timing`), making redacted run logs byte-identical

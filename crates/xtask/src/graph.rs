@@ -8,11 +8,12 @@
 //!
 //! **Roots.** The deterministic-executor contract says a job body must be
 //! a pure function of `(inputs, seed)`. The roots are therefore the
-//! closures passed to `exec::parallel_map`, `parallel_map_resilient` and
-//! `run_job_resilient` (which include retry bodies — a retry re-runs the
-//! same closure — and the `on_sealed` checkpoint hooks),
-//! plus the named journal-replay functions (`EXTRA_ROOT_SUFFIXES`): a
-//! resumed run must reconstruct byte-identical state from the journal.
+//! closures passed to `exec::parallel_map` and `run_job_resilient`
+//! (which include retry bodies — a retry re-runs the same closure — and
+//! `journal::run_or_replay`'s seal-and-append fan-out), plus the named
+//! functions of `EXTRA_ROOT_SUFFIXES`: the journal's record path and the
+//! seal and fold steps each stage hands `run_or_replay`, since a resumed
+//! run must reconstruct byte-identical state from the journal.
 //!
 //! **Islands.** Two sanctioned exceptions subtract their effect at the
 //! island boundary, so callers observe them as pure: the
@@ -42,21 +43,24 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Call names whose closure arguments are parallel job roots.
-pub const ROOT_MARKERS: [&str; 3] = [
-    "parallel_map",
-    "parallel_map_resilient",
-    "run_job_resilient",
-];
+/// `run_or_replay` is deliberately absent: its seal closures enclose job
+/// closures already rooted through `run_job_resilient`, and its own
+/// fan-out is a `parallel_map` root.
+pub const ROOT_MARKERS: [&str; 2] = ["parallel_map", "run_job_resilient"];
 
 /// Function-id suffixes rooted directly: the resumable journal replay
-/// path, through to the fleet's batch reconstruction. `Checkpoint::resume`'s
-/// raw file read is intake, not replay; the replay contract starts where
-/// parsed records are handed back.
-pub const EXTRA_ROOT_SUFFIXES: [&str; 4] = [
+/// path, plus the seal and fold steps both stages hand
+/// `journal::run_or_replay` (fresh and replayed records fold alike).
+/// `Checkpoint::resume`'s raw file read is intake, not replay; the replay
+/// contract starts where parsed records are handed back.
+pub const EXTRA_ROOT_SUFFIXES: [&str; 7] = [
     "journal::Checkpoint::records",
     "journal::parse_record",
     "journal::render_record",
-    "fleet::replay_batch",
+    "fleet::FleetEvaluation::run_batch",
+    "fleet::ReportAccumulator::fold",
+    "resilience::cell_record",
+    "resilience::fold_cell",
 ];
 
 /// Sanctioned islands and root configuration for one analysis run.

@@ -224,7 +224,7 @@ fn seeded_regression_in_live_sources_is_caught() {
     );
     std::fs::write(&lib, lib_src).expect("write mutated lib");
 
-    // Mutation 2: call it from inside a parallel_map_resilient job body.
+    // Mutation 2: call it from inside a run_job_resilient job body.
     let res = tmp.join("crates/core/src/resilience.rs");
     let res_src = std::fs::read_to_string(&res).expect("copied resilience readable");
     let anchor = "outcome.ensure_finite()?;";
