@@ -42,8 +42,8 @@
 //! and completes the run.
 
 use reduce_bench::{
-    apply_fault_args, finish_io_fault, install_io_fault, open_journal, parse_args, resolve_run_dir,
-    IoFault, Scale, FAULT_VALUE_KEYS,
+    apply_fault_args, finish_io_fault, install_io_fault, journal_io_line, open_journal, parse_args,
+    resolve_run_dir, IoFault, Scale, FAULT_VALUE_KEYS,
 };
 use reduce_core::telemetry::{
     self, Fanout, GridManifest, MetricsRecorder, Observer, RunLog, RunManifest, Stage,
@@ -99,7 +99,7 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
             println!(
                 "resuming from {} ({} grid cell(s) already journaled)\n",
                 cp.path().display(),
-                cp.records()?.len()
+                cp.record_count()?
             );
         }
     }
@@ -137,7 +137,11 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
     let grid_manifest = GridManifest::from_config(&config);
     let analysis =
         ResilienceAnalysis::run_resumable(&runner, &pretrained, config, &exec, journal.as_ref())?;
-    println!("characterisation done\n");
+    println!("characterisation done");
+    if let Some(cp) = &journal {
+        println!("{}", journal_io_line(cp)?);
+    }
+    println!();
     if !analysis.failures().is_empty() {
         println!("quarantined grid cells (excluded from the summaries below):");
         for f in analysis.failures() {

@@ -55,7 +55,7 @@
 //! mode picks its own policy list, it conflicts with `--policy`.
 
 use reduce_bench::{
-    apply_fault_args, finish_io_fault, install_io_fault, open_journal, parse_args,
+    apply_fault_args, finish_io_fault, install_io_fault, journal_io_line, open_journal, parse_args,
     reject_conflicts, resolve_run_dir, IoFault, Scale, FAULT_VALUE_KEYS,
 };
 use reduce_core::telemetry::{
@@ -115,19 +115,58 @@ fn parse_strategy(s: &str, mid: usize) -> Result<Vec<(RetrainPolicy, FleetStrate
     }
 }
 
+/// The run configuration a `BENCH_fleet.json` records beside its numbers.
+struct FleetBenchConfig<'a> {
+    /// `--scale`.
+    scale: &'a str,
+    /// `--policy` (`all` when absent); `None` for a strategy comparison.
+    policy: Option<&'a str>,
+    /// `--strategy`, when given.
+    strategy: Option<&'a str>,
+    /// Worker threads.
+    threads: usize,
+    /// Whether the run was journaled (`--out` / `--resume`).
+    journal: bool,
+}
+
+/// Renders a string field's JSON value, `null` for `None`. The values
+/// are command-line spellings that already parsed (plain ASCII, no
+/// quotes), so `Debug` quoting is valid JSON.
+fn json_str_or_null(value: Option<&str>) -> String {
+    value.map_or_else(|| "null".to_string(), |v| format!("{v:?}"))
+}
+
 /// Renders the `BENCH_fleet.json` throughput document. Key order and
-/// separators are fixed; numeric literals are the only run-to-run
-/// variation, which the CI stage normalises away before diffing.
+/// separators are fixed; host-dependent values (timings, memory, thread
+/// counts) are numeric literals, the only run-to-run variation, which
+/// the CI stage normalises away before diffing.
 fn render_fleet_bench(
+    config: &FleetBenchConfig<'_>,
     chips: usize,
     seconds: f64,
     chips_per_sec: f64,
     aggregate_epochs: usize,
     peak_rss_kb: u64,
 ) -> String {
+    let available = std::thread::available_parallelism().map_or(0, usize::from);
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"reduce-bench/fleet-throughput/v1\",\n");
+    s.push_str("  \"schema\": \"reduce-bench/fleet-throughput/v2\",\n");
+    s.push_str(&format!(
+        "  \"scale\": {},\n",
+        json_str_or_null(Some(config.scale))
+    ));
+    s.push_str(&format!(
+        "  \"policy\": {},\n",
+        json_str_or_null(config.policy)
+    ));
+    s.push_str(&format!(
+        "  \"strategy\": {},\n",
+        json_str_or_null(config.strategy)
+    ));
+    s.push_str(&format!("  \"threads\": {},\n", config.threads));
+    s.push_str(&format!("  \"journal\": {},\n", config.journal));
+    s.push_str(&format!("  \"available_parallelism\": {available},\n"));
     s.push_str(&format!("  \"chips\": {chips},\n"));
     s.push_str(&format!("  \"seconds\": {seconds:e},\n"));
     s.push_str(&format!("  \"chips_per_sec\": {chips_per_sec:e},\n"));
@@ -216,7 +255,7 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
             println!(
                 "resuming from {} ({} job(s) already journaled)\n",
                 cp.path().display(),
-                cp.records()?.len()
+                cp.record_count()?
             );
         }
     }
@@ -346,13 +385,27 @@ fn run(fault: &mut Option<IoFault>) -> Result<(), Box<dyn Error>> {
         "\ndeploy throughput: {deployed_chips} chips in {deploy_seconds:.2}s = \
          {chips_per_sec:.1} chips/sec"
     );
+    if let Some(cp) = &journal {
+        println!("{}", journal_io_line(cp)?);
+    }
     let rss_kb = peak_rss_kb();
     if let Some(kb) = rss_kb {
         println!("peak_rss_kb={kb}");
     }
     if fleet_size.is_some() {
         let aggregate_epochs: usize = reports.iter().map(|r| r.total_epochs).sum();
+        let config = FleetBenchConfig {
+            scale: args.value("--scale").unwrap_or("default"),
+            policy: match &strategy_arg {
+                Some(_) => None,
+                None => Some(policy_arg.as_deref().unwrap_or("all")),
+            },
+            strategy: strategy_arg.as_deref(),
+            threads,
+            journal: journal.is_some(),
+        };
         let doc = render_fleet_bench(
+            &config,
             deployed_chips,
             deploy_seconds,
             chips_per_sec,

@@ -363,6 +363,21 @@ impl Observer for HealNotices {
     }
 }
 
+/// One line of the journal's append-I/O accounting for this process:
+/// appends, bytes written and the largest single append, printed beside
+/// a run's throughput.
+///
+/// # Errors
+///
+/// [`ReduceError::Internal`] if the journal lock was poisoned.
+pub fn journal_io_line(checkpoint: &Checkpoint) -> Result<String, ReduceError> {
+    let io = checkpoint.io_stats()?;
+    Ok(format!(
+        "journal io: {} append(s), {} bytes written, max append {} bytes",
+        io.appends, io.bytes_written, io.max_append_bytes
+    ))
+}
+
 /// Opens the journal for a run directory: fresh for `--out`, replayed for
 /// `--resume`, with `--halt-after` applied. `None` when the run has no
 /// directory (nothing to checkpoint into). Resume verifies the journal

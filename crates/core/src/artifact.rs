@@ -1,23 +1,34 @@
 //! Atomic, durable artifact writes — and the injectable I/O policy that
 //! lets tests prove they are.
 //!
-//! Every artifact the framework produces — `manifest.json`,
-//! `run_log.jsonl`, the resilience table, results CSVs, and the resume
-//! journal — is written through [`write_atomic`]: the full contents go to
-//! a sibling temporary file which is `fsync`ed, renamed over the
-//! destination, and sealed with an `fsync` of the parent directory. On
-//! POSIX filesystems the rename is atomic and the two syncs make it
-//! *durable*: a crash (or a deliberate `--halt-after` interrupt, or a
-//! power loss) leaves either the previous complete artifact or the new
-//! complete artifact on disk — never a torn half-write, and never a
+//! Every artifact the framework produces — `manifest.json`, the
+//! resilience table, results CSVs, and the resume journal's manifest and
+//! shard openings — is written through [`write_atomic`]: the full
+//! contents go to a sibling temporary file which is `fsync`ed, renamed
+//! over the destination, and sealed with an `fsync` of the parent
+//! directory. On POSIX filesystems the rename is atomic and the two syncs
+//! make it *durable*: a crash (or a deliberate `--halt-after` interrupt,
+//! or a power loss) leaves either the previous complete artifact or the
+//! new complete artifact on disk — never a torn half-write, and never a
 //! renamed-but-empty file that only existed in the page cache.
+//! `run_log.jsonl` takes the same path through a `StagedFile`, which
+//! streams its lines into the temporary file instead of holding them in
+//! memory until the publish.
+//!
+//! Two primitives are not whole-file writes. `append_durable` adds
+//! bytes to the end of an existing file and `fsync`s them: the journal
+//! appends each framed record to its open shard this way, so an append
+//! costs one record, and the journal's CRC framing detects and heals the
+//! torn final line a crash mid-append can leave. `LineReader` reads a
+//! file line by line, so the journal's replay never holds a whole shard.
 //!
 //! # The `IoPolicy` seam
 //!
 //! Storage faults are injected the same way compute faults are (PR 5's
 //! `ChaosPolicy`): through a deterministic policy object instead of ad-hoc
 //! mocking. [`write_atomic`] decomposes into five observable operations —
-//! `create-dir`, `write-temp`, `sync-temp`, `rename`, `sync-dir` — and an
+//! `create-dir`, `write-temp`, `sync-temp`, `rename`, `sync-dir` — and
+//! `append_durable` into two, `append-write` and `append-sync`; an
 //! installed [`IoPolicy`] sees each one before it executes. The
 //! [`FaultyIo`] backend counts operations under a scope directory and, at
 //! a chosen operation index, injects one of four [`FaultKind`]s (torn
@@ -33,14 +44,15 @@
 //! the result crates and the bench binaries.
 
 use crate::error::{ReduceError, Result};
-use std::fs::File;
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// One of the observable operations [`write_atomic`] decomposes into, in
-/// execution order.
+/// One of the observable operations the writers decompose into:
+/// [`write_atomic`] (and `StagedFile::publish`) runs the first five in
+/// order, `append_durable` the last two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoOp {
     /// `create_dir_all` on the destination's parent.
@@ -55,6 +67,11 @@ pub enum IoOp {
     /// `sync_all` on the parent directory — the rename itself must be on
     /// disk before the artifact is considered sealed.
     SyncDir,
+    /// Writing the appended bytes at the end of the existing file.
+    AppendWrite,
+    /// `sync_data` on the appended file — the append must be on disk
+    /// before it is acknowledged.
+    AppendSync,
 }
 
 impl IoOp {
@@ -66,6 +83,8 @@ impl IoOp {
             IoOp::SyncTemp => "sync-temp",
             IoOp::Rename => "rename",
             IoOp::SyncDir => "sync-dir",
+            IoOp::AppendWrite => "append-write",
+            IoOp::AppendSync => "append-sync",
         }
     }
 }
@@ -315,6 +334,15 @@ pub fn installed_fault_injection() -> Option<Arc<FaultyIo>> {
     }
 }
 
+/// The installed policy: a [`FaultyIo`] backend when one is installed,
+/// [`IoPolicy::Real`] otherwise.
+fn installed_policy() -> IoPolicy {
+    match installed_fault_injection() {
+        Some(io) => IoPolicy::Faulty(io),
+        None => IoPolicy::Real,
+    }
+}
+
 /// Writes `contents` to `path` atomically and durably through the
 /// process-wide installed [`IoPolicy`] (the real backend when none is
 /// installed). See [`write_atomic_with`].
@@ -324,11 +352,7 @@ pub fn installed_fault_injection() -> Option<Arc<FaultyIo>> {
 /// Returns [`ReduceError::InvalidConfig`] naming the path when any
 /// filesystem step fails (or an injected fault fires).
 pub fn write_atomic(path: &Path, contents: &str) -> Result<()> {
-    let policy = match installed_fault_injection() {
-        Some(io) => IoPolicy::Faulty(io),
-        None => IoPolicy::Real,
-    };
-    write_atomic_with(&policy, path, contents)
+    write_atomic_with(&installed_policy(), path, contents)
 }
 
 /// Writes `contents` to `path` atomically (temp file + rename) and
@@ -345,45 +369,15 @@ pub fn write_atomic(path: &Path, contents: &str) -> Result<()> {
 /// Returns [`ReduceError::InvalidConfig`] naming the path when any
 /// filesystem step fails (or an injected fault fires).
 pub fn write_atomic_with(policy: &IoPolicy, path: &Path, contents: &str) -> Result<()> {
-    let fail = |what: &str, e: std::io::Error| ReduceError::InvalidConfig {
-        what: format!("cannot {what} {}: {e}", path.display()),
-    };
     let faulty = policy.faulty();
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => Some(p),
-        _ => None,
-    };
-    if let Some(parent) = parent {
-        match step(faulty, IoOp::CreateDir, path) {
-            Ok(None) => {
-                std::fs::create_dir_all(parent).map_err(|e| fail("create directories for", e))?;
-            }
-            Ok(Some(_kind)) => {
-                // Directory creation has no partial state worth modelling;
-                // every kind degrades to a plain failure.
-                return Err(fail(
-                    "create directories for",
-                    injected("create_dir_all failed"),
-                ));
-            }
-            Err(e) => return Err(fail("create directories for", e)),
-        }
-    }
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| ReduceError::InvalidConfig {
-            what: format!("cannot write {}: path has no file name", path.display()),
-        })?
-        .to_os_string();
-    let mut tmp_name = file_name;
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
+    create_parent(faulty, path)?;
+    let tmp = temp_path(path)?;
     let bytes = contents.as_bytes();
 
     // ① the full contents go to the sibling temporary file…
     match step(faulty, IoOp::WriteTemp, path) {
         Ok(None) => {
-            write_file(&tmp, bytes).map_err(|e| fail("write temporary file for", e))?;
+            write_file(&tmp, bytes).map_err(|e| fail("write temporary file for", path, e))?;
         }
         Ok(Some(kind)) => {
             let e = match kind {
@@ -396,31 +390,287 @@ pub fn write_atomic_with(policy: &IoPolicy, path: &Path, contents: &str) -> Resu
                     injected("short write to temporary file")
                 }
             };
-            return Err(fail("write temporary file for", e));
+            return Err(fail("write temporary file for", path, e));
         }
-        Err(e) => return Err(fail("write temporary file for", e)),
+        Err(e) => return Err(fail("write temporary file for", path, e)),
+    }
+    publish(faulty, &tmp, path, bytes.len())
+}
+
+/// An artifact written incrementally and published atomically: bytes
+/// stream into the sibling `<file name>.tmp` as they are produced, and
+/// [`StagedFile::publish`] makes the complete file visible at once with
+/// [`write_atomic`]'s durability ordering and fault points. Memory stays
+/// one write buffer, not the whole artifact; until the publish, readers
+/// of `path` see its previous content (or nothing). Nothing touches the
+/// disk before the first write.
+#[derive(Debug)]
+pub(crate) struct StagedFile {
+    path: PathBuf,
+    tmp: PathBuf,
+    /// The temporary file, opened by the first write.
+    out: Option<BufWriter<File>>,
+    len: usize,
+}
+
+impl StagedFile {
+    /// Starts staging `path`. The temporary file (replacing a leftover
+    /// one) and its parent directories are created by the first write.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReduceError::InvalidConfig`] when `path` has no file
+    /// name.
+    pub(crate) fn create(path: &Path) -> Result<Self> {
+        Ok(StagedFile {
+            path: path.to_path_buf(),
+            tmp: temp_path(path)?,
+            out: None,
+            len: 0,
+        })
     }
 
-    // ② …which is fsynced, so the data is on disk before it can be
-    // published…
+    /// Creates the parent directories and the empty temporary file.
+    fn open_temp(&self) -> Result<File> {
+        if let Some(parent) = parent_dir(&self.path) {
+            std::fs::create_dir_all(parent)
+                .map_err(|e| fail("create directories for", &self.path, e))?;
+        }
+        File::create(&self.tmp).map_err(|e| fail("create temporary file for", &self.path, e))
+    }
+
+    /// Appends `text` to the staged (still invisible) content.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReduceError::InvalidConfig`] naming the path when the
+    /// temporary file cannot be created or written.
+    pub(crate) fn write_str(&mut self, text: &str) -> Result<()> {
+        let out = match &mut self.out {
+            Some(out) => out,
+            None => self.out.insert(BufWriter::new(self.open_temp()?)),
+        };
+        out.write_all(text.as_bytes())
+            .map_err(|e| fail("write temporary file for", &self.path, e))?;
+        self.len += text.len();
+        Ok(())
+    }
+
+    /// Publishes the staged content through the process-wide installed
+    /// [`IoPolicy`]. See [`StagedFile::publish_with`].
+    ///
+    /// # Errors
+    ///
+    /// As [`StagedFile::publish_with`].
+    pub(crate) fn publish(self) -> Result<()> {
+        self.publish_with(&installed_policy())
+    }
+
+    /// Flushes the staged content to the temporary file, then publishes
+    /// it exactly as [`write_atomic_with`] does: the same five operations
+    /// (`create-dir`, `write-temp` — here the final flush — `sync-temp`,
+    /// `rename`, `sync-dir`) with the same injected side effects.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReduceError::InvalidConfig`] naming the path when any
+    /// filesystem step fails (or an injected fault fires).
+    pub(crate) fn publish_with(self, policy: &IoPolicy) -> Result<()> {
+        let faulty = policy.faulty();
+        create_parent(faulty, &self.path)?;
+        let flushed = match self.out {
+            Some(out) => out
+                .into_inner()
+                .map_err(|e| fail("write temporary file for", &self.path, e.into_error())),
+            None => self.open_temp(),
+        };
+        let StagedFile { path, tmp, len, .. } = self;
+        match step(faulty, IoOp::WriteTemp, &path) {
+            Ok(None) => drop(flushed?),
+            Ok(Some(kind)) => {
+                let e = match kind {
+                    FaultKind::Enospc => enospc(),
+                    FaultKind::RenameFail => injected("write aborted"),
+                    FaultKind::Short | FaultKind::Torn => {
+                        // Only half the content survives in the (still
+                        // invisible) temporary file.
+                        if let Ok(file) = flushed {
+                            let _ = file.set_len((len / 2) as u64);
+                        }
+                        injected("short write to temporary file")
+                    }
+                };
+                return Err(fail("write temporary file for", &path, e));
+            }
+            Err(e) => return Err(fail("write temporary file for", &path, e)),
+        }
+        publish(faulty, &tmp, &path, len)
+    }
+}
+
+/// Appends `contents` to the end of the existing file at `path` and makes
+/// the append durable, through the process-wide installed [`IoPolicy`].
+/// See [`append_durable_with`].
+///
+/// # Errors
+///
+/// As [`append_durable_with`].
+pub(crate) fn append_durable(path: &Path, contents: &str) -> Result<()> {
+    append_durable_with(&installed_policy(), path, contents)
+}
+
+/// Appends `contents` to the end of the existing file at `path` and
+/// `fsync`s its data before returning, routing both operations
+/// (`append-write`, `append-sync`) through `policy`. The cost is the
+/// appended bytes, not the file: this is how the journal adds one framed
+/// record to its open shard. The write is not atomic — a crash can leave
+/// a torn final line — so the file format must detect and heal a torn
+/// tail, as the journal's CRC framing does.
+///
+/// Injected faults: a torn or short write lands half of `contents` and
+/// then errors; `ENOSPC` errors before writing; a failed rename has no
+/// append analogue and degrades to a plain failure without side effect.
+///
+/// # Errors
+///
+/// Returns [`ReduceError::InvalidConfig`] naming the path when the file
+/// does not exist, when either step fails, or when an injected fault
+/// fires.
+pub(crate) fn append_durable_with(policy: &IoPolicy, path: &Path, contents: &str) -> Result<()> {
+    let faulty = policy.faulty();
+    let bytes = contents.as_bytes();
+    let file = match step(faulty, IoOp::AppendWrite, path) {
+        Ok(None) => append_file(path, bytes).map_err(|e| fail("append to", path, e))?,
+        Ok(Some(kind)) => {
+            let e = match kind {
+                FaultKind::Enospc => enospc(),
+                FaultKind::RenameFail => injected("append failed"),
+                FaultKind::Short | FaultKind::Torn => {
+                    let _ = append_file(path, bytes.split_at(bytes.len() / 2).0);
+                    injected("short append")
+                }
+            };
+            return Err(fail("append to", path, e));
+        }
+        Err(e) => return Err(fail("append to", path, e)),
+    };
+    match step(faulty, IoOp::AppendSync, path) {
+        Ok(None) => file
+            .sync_data()
+            .map_err(|e| fail("sync appended data of", path, e)),
+        Ok(Some(kind)) => {
+            let e = match kind {
+                FaultKind::Enospc => enospc(),
+                _ => injected("fsync of appended data failed"),
+            };
+            Err(fail("sync appended data of", path, e))
+        }
+        Err(e) => Err(fail("sync appended data of", path, e)),
+    }
+}
+
+/// Reads a file line by line without holding it in memory: the reading
+/// half of the journal's streaming replay, kept beside the writers so
+/// every filesystem access of the replay path stays in this module.
+#[derive(Debug)]
+pub(crate) struct LineReader {
+    inner: std::io::Take<BufReader<File>>,
+}
+
+impl LineReader {
+    /// Opens `path` for reading its first `limit` bytes (`u64::MAX` for
+    /// the whole file).
+    ///
+    /// # Errors
+    ///
+    /// The open error, unmapped, so callers can tell a missing file
+    /// (`NotFound`) from an unreadable one.
+    pub(crate) fn open(path: &Path, limit: u64) -> std::io::Result<Self> {
+        Ok(LineReader {
+            inner: BufReader::new(File::open(path)?).take(limit),
+        })
+    }
+
+    /// Reads the next line into `line` (cleared first), its `\n`
+    /// included when present; `false` at the end of the file or limit.
+    ///
+    /// # Errors
+    ///
+    /// The read error.
+    pub(crate) fn next_line(&mut self, line: &mut Vec<u8>) -> std::io::Result<bool> {
+        line.clear();
+        Ok(self.inner.read_until(b'\n', line)? > 0)
+    }
+}
+
+fn fail(what: &str, path: &Path, e: std::io::Error) -> ReduceError {
+    ReduceError::InvalidConfig {
+        what: format!("cannot {what} {}: {e}", path.display()),
+    }
+}
+
+fn parent_dir(path: &Path) -> Option<&Path> {
+    match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => Some(p),
+        _ => None,
+    }
+}
+
+/// `<file name>.tmp` beside `path`.
+fn temp_path(path: &Path) -> Result<PathBuf> {
+    let mut tmp_name = path
+        .file_name()
+        .ok_or_else(|| ReduceError::InvalidConfig {
+            what: format!("cannot write {}: path has no file name", path.display()),
+        })?
+        .to_os_string();
+    tmp_name.push(".tmp");
+    Ok(path.with_file_name(tmp_name))
+}
+
+/// The `create-dir` step: `create_dir_all` on `path`'s parent.
+fn create_parent(faulty: Option<&FaultyIo>, path: &Path) -> Result<()> {
+    let Some(parent) = parent_dir(path) else {
+        return Ok(());
+    };
+    match step(faulty, IoOp::CreateDir, path) {
+        Ok(None) => {
+            std::fs::create_dir_all(parent).map_err(|e| fail("create directories for", path, e))
+        }
+        // Directory creation has no partial state worth modelling; every
+        // kind degrades to a plain failure.
+        Ok(Some(_kind)) => Err(fail(
+            "create directories for",
+            path,
+            injected("create_dir_all failed"),
+        )),
+        Err(e) => Err(fail("create directories for", path, e)),
+    }
+}
+
+/// Steps ②–④ of an atomic write, once the `len` bytes of content are in
+/// `tmp`: fsync it, rename it over `path`, fsync the parent directory.
+fn publish(faulty: Option<&FaultyIo>, tmp: &Path, path: &Path, len: usize) -> Result<()> {
+    // ② the temporary file is fsynced, so the data is on disk before it
+    // can be published…
     match step(faulty, IoOp::SyncTemp, path) {
         Ok(None) => {
-            sync_file(&tmp).map_err(|e| fail("sync temporary file for", e))?;
+            sync_file(tmp).map_err(|e| fail("sync temporary file for", path, e))?;
         }
         Ok(Some(kind)) => {
             let e = match kind {
                 FaultKind::Enospc => enospc(),
                 _ => injected("fsync of temporary file failed"),
             };
-            return Err(fail("sync temporary file for", e));
+            return Err(fail("sync temporary file for", path, e));
         }
-        Err(e) => return Err(fail("sync temporary file for", e)),
+        Err(e) => return Err(fail("sync temporary file for", path, e)),
     }
 
     // ③ …then atomically renamed over the destination…
     match step(faulty, IoOp::Rename, path) {
         Ok(None) => {
-            std::fs::rename(&tmp, path).map_err(|e| fail("rename temporary file over", e))?;
+            std::fs::rename(tmp, path).map_err(|e| fail("rename temporary file over", path, e))?;
         }
         Ok(Some(kind)) => {
             let e = match kind {
@@ -431,34 +681,33 @@ pub fn write_atomic_with(policy: &IoPolicy, path: &Path, contents: &str) -> Resu
                     // prevent, kept injectable so the recovery path stays
                     // tested: the rename "happens" but only a seeded
                     // prefix of the data survives at the destination.
-                    let keep = faulty.map_or(0, |io| io.torn_len(bytes.len()));
-                    let _ = write_file(path, bytes.split_at(keep.min(bytes.len())).0);
-                    let _ = std::fs::remove_file(&tmp);
+                    let keep = faulty.map_or(0, |io| io.torn_len(len));
+                    let _ = truncate_file(tmp, keep.min(len) as u64);
+                    let _ = std::fs::rename(tmp, path);
                     injected("torn write published at destination")
                 }
             };
-            return Err(fail("rename temporary file over", e));
+            return Err(fail("rename temporary file over", path, e));
         }
-        Err(e) => return Err(fail("rename temporary file over", e)),
+        Err(e) => return Err(fail("rename temporary file over", path, e)),
     }
 
     // ④ …and the rename itself is made durable by fsyncing the parent
     // directory.
     match step(faulty, IoOp::SyncDir, path) {
         Ok(None) => {
-            let dir = parent.unwrap_or_else(|| Path::new("."));
-            sync_dir(dir).map_err(|e| fail("sync parent directory of", e))?;
+            let dir = parent_dir(path).unwrap_or_else(|| Path::new("."));
+            sync_dir(dir).map_err(|e| fail("sync parent directory of", path, e))
         }
         Ok(Some(kind)) => {
             let e = match kind {
                 FaultKind::Enospc => enospc(),
                 _ => injected("fsync of parent directory failed"),
             };
-            return Err(fail("sync parent directory of", e));
+            Err(fail("sync parent directory of", path, e))
         }
-        Err(e) => return Err(fail("sync parent directory of", e)),
+        Err(e) => Err(fail("sync parent directory of", path, e)),
     }
-    Ok(())
 }
 
 fn step(faulty: Option<&FaultyIo>, op: IoOp, path: &Path) -> std::io::Result<Option<FaultKind>> {
@@ -482,6 +731,16 @@ fn enospc() -> std::io::Error {
 fn write_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut f = File::create(path)?;
     f.write_all(bytes)
+}
+
+fn append_file(path: &Path, bytes: &[u8]) -> std::io::Result<File> {
+    let mut f = OpenOptions::new().append(true).open(path)?;
+    f.write_all(bytes)?;
+    Ok(f)
+}
+
+fn truncate_file(path: &Path, len: u64) -> std::io::Result<()> {
+    OpenOptions::new().write(true).open(path)?.set_len(len)
 }
 
 fn sync_file(path: &Path) -> std::io::Result<()> {
@@ -638,6 +897,80 @@ mod tests {
         assert!(err.to_string().contains("rename failed"), "{err}");
         assert!(!path4.exists());
         assert!(path4.with_file_name("rn.json.tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn append_faults_have_their_documented_side_effects() {
+        let dir = scratch_dir("append");
+        let line = "0123456789abcdef\n";
+        for (kind, at, kept) in [
+            // Op 0 is the append-write, op 1 the append-sync.
+            (FaultKind::Torn, 0, "01234567"),
+            (FaultKind::Short, 0, "01234567"),
+            (FaultKind::Enospc, 0, ""),
+            (FaultKind::RenameFail, 0, ""),
+            (FaultKind::Enospc, 1, line),
+            (FaultKind::Torn, 1, line),
+        ] {
+            let path = dir.join(format!("{}-{at}.jsonl", kind.name()));
+            write_atomic(&path, "head\n").expect("create");
+            let io = Arc::new(FaultyIo::armed(&dir, 3, at, kind));
+            let err = append_durable_with(&IoPolicy::Faulty(io.clone()), &path, line)
+                .expect_err("fault fires");
+            assert!(err.to_string().contains("io fault injected"), "{err}");
+            let ops: Vec<IoOp> = io.trace().into_iter().map(|(op, _)| op).collect();
+            assert_eq!(ops, [IoOp::AppendWrite, IoOp::AppendSync][..=at as usize]);
+            assert_eq!(
+                std::fs::read_to_string(&path).expect("readable"),
+                format!("head\n{kept}"),
+                "{} at op {at}",
+                kind.name()
+            );
+        }
+        // Appends never create the file.
+        let missing = dir.join("missing.jsonl");
+        assert!(append_durable(&missing, line).is_err());
+        assert!(!missing.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn staged_file_is_invisible_until_published_like_write_atomic() {
+        let dir = scratch_dir("staged");
+        let path = dir.join("nested").join("log.jsonl");
+        let mut staged = StagedFile::create(&path).expect("has a file name");
+        assert!(!path.with_file_name("log.jsonl.tmp").exists(), "lazy");
+        staged.write_str("one\n").expect("write");
+        staged.write_str("two\n").expect("write");
+        assert!(!path.exists(), "invisible before the publish");
+        let io = Arc::new(FaultyIo::counting(&dir));
+        staged
+            .publish_with(&IoPolicy::Faulty(io.clone()))
+            .expect("publish");
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("published"),
+            "one\ntwo\n"
+        );
+        let ops: Vec<IoOp> = io.trace().into_iter().map(|(op, _)| op).collect();
+        assert_eq!(
+            ops,
+            [
+                IoOp::CreateDir,
+                IoOp::WriteTemp,
+                IoOp::SyncTemp,
+                IoOp::Rename,
+                IoOp::SyncDir
+            ]
+        );
+        assert!(!path.with_file_name("log.jsonl.tmp").exists());
+        // A torn publish leaves a strict prefix, as write_atomic's does.
+        let mut staged = StagedFile::create(&path).expect("has a file name");
+        staged.write_str("0123456789abcdef").expect("write");
+        let torn = Arc::new(FaultyIo::armed(&dir, 42, 3, FaultKind::Torn));
+        assert!(staged.publish_with(&IoPolicy::Faulty(torn)).is_err());
+        let on_disk = std::fs::read_to_string(&path).unwrap_or_default();
+        assert!(on_disk.len() < 16 && "0123456789abcdef".starts_with(&on_disk));
         std::fs::remove_dir_all(&dir).ok();
     }
 

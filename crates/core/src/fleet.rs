@@ -25,7 +25,7 @@
 use crate::error::{ReduceError, Result};
 use crate::exec::{self, ExecConfig, JobStatus};
 use crate::fat::{FatRunner, Mitigation, StopRule};
-use crate::journal::{self, Checkpoint, JournalRecord};
+use crate::journal::{self, Checkpoint, JournalRecord, Step};
 use crate::policy::RetrainPolicy;
 use crate::resilience::ResilienceTable;
 use crate::telemetry::{self, EpochScope, Event, Stage};
@@ -42,6 +42,7 @@ use reduce_tensor::Tensor;
 type ModelState = Vec<(String, Tensor)>;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// The outcome of retraining one chip under a policy.
@@ -719,16 +720,9 @@ impl<'a> FleetEvaluation<'a> {
         let policy_label = self.label();
         let n = source.len();
 
-        // Index the journal's batch-keyed records for this policy.
-        let mut replayed = BTreeMap::new();
-        let journaled = self.journal.map(Checkpoint::records).transpose()?;
-        for record in journaled.unwrap_or_default() {
-            if let Some((policy, window, budget, chunk)) = record.batch_key() {
-                if policy == policy_label {
-                    replayed.insert((window, budget, chunk), record);
-                }
-            }
-        }
+        // One forward pass over the journal: each window's batches are
+        // collected as the window comes up, so replay holds one window.
+        let mut cursor = self.journal.map(Checkpoint::cursor).transpose()?;
 
         let accumulator = telemetry::timed_stage(exec.observer(), Stage::Deploy, || {
             let mut acc = ReportAccumulator::new(self.collect_outcomes);
@@ -738,11 +732,24 @@ impl<'a> FleetEvaluation<'a> {
             while start < n {
                 let end = (start + self.window).min(n);
                 let plans = self.schedule_window(source, window_index, start..end)?;
+                let mut replayed = match cursor.as_mut() {
+                    Some(cursor) => cursor.take_run(|record| match record.batch_key() {
+                        Some((policy, window, budget, chunk)) if policy == policy_label => {
+                            match window.cmp(&window_index) {
+                                Ordering::Equal => Step::Take((budget, chunk)),
+                                Ordering::Greater => Step::Stop,
+                                Ordering::Less => Step::Skip,
+                            }
+                        }
+                        _ => Step::Skip,
+                    })?,
+                    None => BTreeMap::new(),
+                };
                 workspace.merge(&journal::run_or_replay(
                     &plans,
                     exec,
                     self.journal,
-                    |plan| replayed.remove(&(plan.window, plan.budget, plan.chunk)),
+                    |plan| replayed.remove(&(plan.budget, plan.chunk)),
                     |plan| self.run_batch(runner, pretrained, source, exec, &policy_label, plan),
                     |record| acc.fold(record),
                 )?);
@@ -1473,9 +1480,14 @@ mod tests {
         // A resumed run finds every batch journaled and replays it; the
         // report — cluster and warm-start accounting included — must be
         // indistinguishable from the fresh run.
-        let resumed = Checkpoint::create(&path);
+        let resumed = Checkpoint::resume(&path).expect("journal resumes");
         let replayed = eval(&resumed);
         assert_eq!(replayed, fresh);
+        assert_eq!(
+            resumed.io_stats().expect("stats").appends,
+            0,
+            "every batch was replayed, none recomputed"
+        );
         assert!(replayed.clusters > 0, "replay dropped cluster accounting");
         if let Some(dir) = path.parent() {
             let _ = std::fs::remove_dir_all(dir);

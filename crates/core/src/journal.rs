@@ -6,12 +6,20 @@
 //! into fixed-size *shard* segments: `journal.jsonl` holds only a one-line
 //! manifest naming the shard size and each sealed shard's whole-file
 //! digest, and records live in `journal-00000.jsonl`,
-//! `journal-00001.jsonl`, … files beside it. Each append atomically
-//! rewrites only the active shard (through
-//! [`crate::artifact::write_atomic`]), so the I/O cost of sealing a job is
-//! bounded by the shard size — not by the total number of records — while
-//! a killed process still always leaves a complete, parseable journal: the
-//! worst case loses the in-flight jobs, never corrupts the finished ones.
+//! `journal-00001.jsonl`, … files beside it. An append writes only its
+//! own framed line: it is appended to the active shard in place and
+//! synced ([`crate::artifact::append_durable`]; a shard's first line
+//! creates the file atomically), so sealing a job costs one record of
+//! I/O, not the shard or the journal. A full shard is sealed by appending
+//! its footer and atomically rewriting the manifest with the shard's
+//! digest, kept as a running CRC. A killed process leaves at worst a torn
+//! final line, which resume truncates away: the in-flight jobs are lost,
+//! never the finished ones.
+//!
+//! The journal keeps no record in memory. Resume verifies every frame
+//! while streaming the shards and keeps only counts and digests, and
+//! replay reads the records back through a forward `JournalCursor`, one
+//! line at a time, so a journaled fleet run stays constant in memory.
 //!
 //! # Version-3 integrity framing
 //!
@@ -58,11 +66,13 @@
 //! it. Journals are resumable run scratch, not archives, and the older
 //! layouts cannot detect a bitflip that keeps the JSON valid.
 //!
-//! On `--resume`, [`Checkpoint::resume`] reloads the journal and the
-//! resumable entry points ([`crate::ResilienceAnalysis::run_resumable`],
-//! [`crate::FleetEvaluation::run`]) replay the recorded outcomes —
-//! including their buffered telemetry events, re-emitted bit-identically —
-//! and compute only the missing jobs, both through one function,
+//! On `--resume`, [`Checkpoint::resume`] verifies and heals the journal,
+//! and the resumable entry points
+//! ([`crate::ResilienceAnalysis::run_resumable`],
+//! [`crate::FleetEvaluation::run`]) replay the recorded outcomes — read
+//! window by window from a `JournalCursor`, their buffered telemetry
+//! events re-emitted bit-identically — and compute only the missing jobs,
+//! both through one function,
 //! `run_or_replay`, which folds fresh and replayed records alike. Records
 //! carry the stable job id the retry/chaos layer keys on, so a resumed run
 //! salts and injects exactly like an uninterrupted one.
@@ -71,7 +81,7 @@
 //! thread scheduling; determinism lives in the replayed artifacts (run
 //! log, manifest, CSVs), not in the journal files themselves.
 
-use crate::artifact::write_atomic;
+use crate::artifact::{append_durable, write_atomic, LineReader};
 use crate::error::{CorruptKind, ReduceError, Result};
 use crate::exec::{self, ExecConfig};
 use crate::fleet::{ChipOutcome, QuarantinedChip, SealedChip};
@@ -80,20 +90,24 @@ use crate::telemetry::json::{parse, push_json_f32, push_json_f64, push_json_stri
 use crate::telemetry::{parse_event, render_event, Event, NullObserver, Observer, Stage};
 use reduce_nn::WorkspaceStats;
 use reduce_systolic::Cluster;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Default records per shard segment: large enough that a shard rewrite
-/// stays one buffered write, small enough that per-append I/O is trivially
-/// bounded even for million-chip journals.
+/// Default records per shard segment. An append writes one framed line
+/// whatever the shard size; the shard size sets how often a seal appends
+/// a footer and rewrites the manifest, and bounds the one shard a
+/// resume's heal may rewrite.
 pub const DEFAULT_SHARD_RECORDS: usize = 256;
 
-/// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial), bit-reflected. A
-/// hand-rolled bitwise implementation: journal lines are short and shard
-/// digests are computed once per seal, so a lookup table isn't worth the
-/// footprint.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+/// Extends the CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial,
+/// bit-reflected) `crc` of some bytes with `bytes`: `crc32_extend(0, b)`
+/// is the CRC of `b`, and `crc32_extend(crc32(a), b)` that of `a ++ b`,
+/// which is how a shard's digest runs along with its appends. A
+/// hand-rolled bitwise implementation: journal lines are short, so a
+/// lookup table isn't worth the footprint.
+fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    let mut crc = !crc;
     for &b in bytes {
         crc ^= u32::from(b);
         for _ in 0..8 {
@@ -102,6 +116,10 @@ fn crc32(bytes: &[u8]) -> u32 {
         }
     }
     !crc
+}
+
+fn crc32(bytes: &[u8]) -> u32 {
+    crc32_extend(0, bytes)
 }
 
 /// Frames a JSON payload as one v3 journal line:
@@ -136,16 +154,36 @@ fn parse_frame(line: &str) -> std::result::Result<&str, CorruptKind> {
     Ok(payload)
 }
 
+/// One verified line of a v3 shard.
+enum ShardLine {
+    /// The shard footer, with its record count.
+    Footer(usize),
+    /// A record.
+    Record(JournalRecord),
+}
+
+/// Unframes and decodes one v3 shard line (without its newline): a
+/// footer or a record, each JSON payload parsed once.
+fn parse_shard_line(raw: &[u8]) -> std::result::Result<ShardLine, CorruptKind> {
+    let line = std::str::from_utf8(raw).map_err(|_| CorruptKind::BadFrame)?;
+    let value = parse(parse_frame(line)?).map_err(|_| CorruptKind::BadRecord)?;
+    if let Some(n) = footer_count(&value) {
+        return Ok(ShardLine::Footer(n));
+    }
+    record_from_value(&value)
+        .map(ShardLine::Record)
+        .map_err(|_| CorruptKind::BadRecord)
+}
+
 fn render_footer(records: usize) -> String {
     frame_line(&format!(
         "{{\"footer\":\"reduce-shard\",\"records\":{records}}}"
     ))
 }
 
-/// `Some(record count)` if the (already unframed) payload is a shard
-/// footer.
-fn parse_footer(payload: &str) -> Option<usize> {
-    let value = parse(payload).ok()?;
+/// `Some(record count)` if the (already unframed and parsed) payload is
+/// a shard footer.
+fn footer_count(value: &JsonValue) -> Option<usize> {
     if value.field("footer").and_then(JsonValue::as_str) != Some("reduce-shard") {
         return None;
     }
@@ -190,10 +228,6 @@ fn parse_manifest_v3(payload: &str) -> Option<(usize, Vec<String>)> {
         _ => return None,
     };
     Some((shard_records, sealed))
-}
-
-fn shard_digest(contents: &str) -> String {
-    format!("{:08x}", crc32(contents.as_bytes()))
 }
 
 fn shard_path(manifest: &Path, index: usize) -> PathBuf {
@@ -289,21 +323,23 @@ impl JournalRecord {
     }
 }
 
-/// Cumulative journal-write accounting for this process: the evidence that
-/// per-append I/O is bounded by the shard size, not the journal length.
+/// Cumulative journal-write accounting for this process: the evidence
+/// that an append costs one record, not the shard or the journal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Appends performed (replayed records don't count).
     pub appends: u64,
-    /// Total bytes handed to the atomic writer across all appends.
+    /// Total bytes written across all appends: framed records, plus each
+    /// seal's footer and manifest.
     pub bytes_written: u64,
-    /// Largest single append's bytes — bounded by one shard's rendered
-    /// size in the sharded layout.
+    /// Largest single append's bytes: one framed record, plus the footer
+    /// and the manifest when the append seals its shard.
     pub max_append_bytes: u64,
 }
 
 /// On-disk layout of a (version 3) journal: CRC-framed lines, footered
-/// shards, digest-bearing manifest.
+/// shards, digest-bearing manifest. Only counts and digests are kept;
+/// the records themselves live on disk alone.
 struct Store {
     /// Records per shard segment.
     shard_records: usize,
@@ -313,16 +349,94 @@ struct Store {
     /// Whole-file digest of each sealed shard, in shard order; the active
     /// shard's index is `sealed.len()`.
     sealed: Vec<String>,
-    /// Framed lines of the active (partial) shard, exactly as on disk.
-    active: Vec<String>,
+    /// Records in the active (partial) shard.
+    active_records: usize,
+    /// Bytes of the active shard on disk.
+    active_bytes: u64,
+    /// Running CRC-32 of the active shard's bytes, which becomes its
+    /// digest once the footer is appended.
+    active_crc: u32,
+    /// Records in the whole journal.
+    records: usize,
+}
+
+impl Store {
+    fn new(shard_records: usize) -> Self {
+        Store {
+            shard_records,
+            manifest_written: false,
+            sealed: Vec::new(),
+            active_records: 0,
+            active_bytes: 0,
+            active_crc: 0,
+            records: 0,
+        }
+    }
+
+    /// Writes one framed `line` to the active shard, sealing it when it is
+    /// full, and returns the bytes written. A shard's first line creates
+    /// its file atomically (replacing any stale file of that name); later
+    /// lines are appended in place.
+    fn append(&mut self, manifest: &Path, line: &str) -> Result<u64> {
+        let mut bytes = 0;
+        if !self.manifest_written {
+            bytes += self.write_manifest(manifest)?;
+            self.manifest_written = true;
+        }
+        let shard = shard_path(manifest, self.sealed.len());
+        if self.active_records == 0 {
+            write_atomic(&shard, line)?;
+        } else {
+            append_durable(&shard, line)?;
+        }
+        self.extend_active(line);
+        self.active_records += 1;
+        self.records += 1;
+        bytes += line.len() as u64;
+        if self.active_records >= self.shard_records {
+            // Seal: the footer goes to disk *before* the manifest that
+            // names the shard's digest — a crash between the two leaves a
+            // footered shard resume detects and adopts without data loss.
+            bytes += self.seal_active(&shard)? + self.write_manifest(manifest)?;
+        }
+        Ok(bytes)
+    }
+
+    /// Appends the footer to the active shard at `shard` and records its
+    /// digest as sealed; returns the footer's bytes. The manifest is the
+    /// caller's to rewrite.
+    fn seal_active(&mut self, shard: &Path) -> Result<u64> {
+        let footer = render_footer(self.active_records);
+        append_durable(shard, &footer)?;
+        self.extend_active(&footer);
+        self.sealed.push(format!("{:08x}", self.active_crc));
+        self.active_records = 0;
+        self.active_bytes = 0;
+        self.active_crc = 0;
+        Ok(footer.len() as u64)
+    }
+
+    fn extend_active(&mut self, text: &str) {
+        self.active_crc = crc32_extend(self.active_crc, text.as_bytes());
+        self.active_bytes += text.len() as u64;
+    }
+
+    fn write_manifest(&self, manifest: &Path) -> Result<u64> {
+        let text = render_manifest_v3(self.shard_records, &self.sealed);
+        write_atomic(manifest, &text)?;
+        Ok(text.len() as u64)
+    }
 }
 
 struct CheckpointState {
-    records: Vec<JournalRecord>,
     store: Store,
     appended: usize,
     halt_after: Option<usize>,
     io: IoStats,
+    /// Set by an append that failed part-way. The open shard may now end
+    /// in a torn line, and a later append would bury it mid-shard, so
+    /// every further append is refused; a resume heals the tear.
+    failed: bool,
 }
 
 /// An append-only journal of sealed job outcomes backed by an atomically
@@ -330,7 +444,8 @@ struct CheckpointState {
 ///
 /// Appends are serialised through an internal mutex, so a `Checkpoint` can
 /// be shared by the executor's worker threads: `run_or_replay` appends
-/// each record from the worker that sealed it.
+/// each record from the worker that sealed it. Appended records are not
+/// kept in memory; replay streams them back from disk.
 pub struct Checkpoint {
     path: PathBuf,
     state: Mutex<CheckpointState>,
@@ -345,37 +460,37 @@ impl std::fmt::Debug for Checkpoint {
 }
 
 impl Checkpoint {
-    /// A fresh sharded (version 3) journal whose manifest lives at `path`.
-    /// Nothing is written until the first [`Checkpoint::append`].
-    pub fn create(path: &Path) -> Self {
+    fn with_store(path: &Path, store: Store) -> Self {
         Checkpoint {
             path: path.to_path_buf(),
             state: Mutex::new(CheckpointState {
-                records: Vec::new(),
-                store: Store {
-                    shard_records: DEFAULT_SHARD_RECORDS,
-                    manifest_written: false,
-                    sealed: Vec::new(),
-                    active: Vec::new(),
-                },
+                store,
                 appended: 0,
                 halt_after: None,
                 io: IoStats::default(),
+                failed: false,
             }),
         }
     }
 
-    /// Overrides the records-per-shard size of a fresh journal. Must be
-    /// called before the first append; ignored once the manifest is on
-    /// disk (resumed journals keep the shard size they were created with).
-    /// Zero is ignored.
+    /// A fresh sharded (version 3) journal whose manifest lives at `path`.
+    /// Nothing is written until the first [`Checkpoint::append`].
+    pub fn create(path: &Path) -> Self {
+        Self::with_store(path, Store::new(DEFAULT_SHARD_RECORDS))
+    }
+
+    /// Overrides the records-per-shard size of a journal that holds no
+    /// records yet (the first append then writes the manifest with it);
+    /// ignored once it holds records (resumed journals keep the shard size
+    /// they were created with). Zero is ignored.
     #[must_use]
     pub fn with_shard_records(self, n: usize) -> Self {
         if n > 0 {
             if let Ok(mut state) = self.state.lock() {
                 let store = &mut state.store;
-                if !store.manifest_written && store.active.is_empty() {
+                if store.records == 0 && store.sealed.is_empty() && store.shard_records != n {
                     store.shard_records = n;
+                    store.manifest_written = false;
                 }
             }
         }
@@ -385,7 +500,7 @@ impl Checkpoint {
     /// Reloads the journal at `path`; a missing file is an empty journal
     /// (resuming a run that was killed before its first checkpoint). The
     /// version-3 manifest is verified along with every shard's frames,
-    /// footers, and digests.
+    /// footers, and digests, streaming: no record is kept in memory.
     ///
     /// Healable tail damage is truncated away silently — use
     /// [`Checkpoint::resume_observed`] to watch it happen.
@@ -416,16 +531,7 @@ impl Checkpoint {
         };
         scan.corrupt_error()?;
         let healed = heal_journal(path, scan, observer)?;
-        Ok(Checkpoint {
-            path: path.to_path_buf(),
-            state: Mutex::new(CheckpointState {
-                records: healed.records,
-                store: healed.store,
-                appended: 0,
-                halt_after: None,
-                io: IoStats::default(),
-            }),
-        })
+        Ok(Self::with_store(path, healed.store))
     }
 
     /// The journal manifest path.
@@ -439,13 +545,59 @@ impl Checkpoint {
         })
     }
 
-    /// All records currently in the journal (replayed + appended).
+    /// A forward cursor over the records the journal holds now (replayed
+    /// and appended), read from disk one line at a time. Records appended
+    /// after this call are not part of its view.
     ///
     /// # Errors
     ///
     /// [`ReduceError::Internal`] if the journal lock was poisoned.
+    pub(crate) fn cursor(&self) -> Result<JournalCursor> {
+        let state = self.lock()?;
+        let store = &state.store;
+        let shards = if store.records == 0 {
+            0
+        } else {
+            store.sealed.len() + usize::from(store.active_records > 0)
+        };
+        Ok(JournalCursor {
+            manifest: self.path.clone(),
+            shards,
+            sealed: store.sealed.len(),
+            tail_bytes: store.active_bytes,
+            next_shard: 0,
+            reader: None,
+            line: Vec::new(),
+            peeked: None,
+        })
+    }
+
+    /// All records currently in the journal (replayed + appended), read
+    /// back from disk. This holds the whole journal in memory; the stages
+    /// replay through a forward cursor instead.
+    ///
+    /// # Errors
+    ///
+    /// [`ReduceError::JournalCorrupt`] for a line that no longer verifies
+    /// (the files changed after resume verified them);
+    /// [`ReduceError::InvalidConfig`] for an unreadable shard file.
     pub fn records(&self) -> Result<Vec<JournalRecord>> {
-        Ok(self.lock()?.records.clone())
+        let mut cursor = self.cursor()?;
+        let mut records = Vec::new();
+        while let Some(record) = cursor.next_record()? {
+            records.push(record);
+        }
+        Ok(records)
+    }
+
+    /// The number of records currently in the journal (replayed +
+    /// appended), without reading them.
+    ///
+    /// # Errors
+    ///
+    /// [`ReduceError::Internal`] if the journal lock was poisoned.
+    pub fn record_count(&self) -> Result<usize> {
+        Ok(self.lock()?.store.records)
     }
 
     /// This process's cumulative append-I/O accounting.
@@ -467,50 +619,36 @@ impl Checkpoint {
         }
     }
 
-    /// Appends one sealed outcome, atomically rewriting only the active
-    /// shard so the on-disk journal is complete after every append.
+    /// Appends one sealed outcome: its framed line is appended to the
+    /// active shard in place and synced, so the on-disk journal is
+    /// complete after every append and the cost is one record. The record
+    /// is not retained.
     ///
     /// # Errors
     ///
-    /// Propagates the atomic write's error; callers treat a failed
-    /// checkpoint as fatal (the resume contract would otherwise be
-    /// silently broken).
+    /// Propagates the write's error; callers treat a failed checkpoint as
+    /// fatal (the resume contract would otherwise be silently broken).
+    /// Once an append has failed, every later append of this `Checkpoint`
+    /// fails too.
     pub fn append(&self, record: JournalRecord) -> Result<()> {
+        let line = frame_line(render_record(&record).trim_end());
+        drop(record);
         let mut state = self.lock()?;
-        let line = render_record(&record);
-        state.records.push(record);
-        let mut bytes: u64 = 0;
-        let Store {
-            shard_records,
-            manifest_written,
-            sealed,
-            active,
-        } = &mut state.store;
-        if !*manifest_written {
-            let manifest = render_manifest_v3(*shard_records, sealed);
-            bytes += manifest.len() as u64;
-            write_atomic(&self.path, &manifest)?;
-            *manifest_written = true;
+        if state.failed {
+            return Err(ReduceError::InvalidConfig {
+                what: format!(
+                    "journal {}: an earlier append failed; resume the run to heal the journal",
+                    self.path.display()
+                ),
+            });
         }
-        active.push(frame_line(line.trim_end()));
-        if active.len() >= *shard_records {
-            // Seal: the footered shard goes to disk *before* the manifest
-            // that names its digest — a crash between the two leaves a
-            // footered shard resume detects and adopts without data loss.
-            let mut contents = active.concat();
-            contents.push_str(&render_footer(active.len()));
-            bytes += contents.len() as u64;
-            write_atomic(&shard_path(&self.path, sealed.len()), &contents)?;
-            sealed.push(shard_digest(&contents));
-            active.clear();
-            let manifest = render_manifest_v3(*shard_records, sealed);
-            bytes += manifest.len() as u64;
-            write_atomic(&self.path, &manifest)?;
-        } else {
-            let contents = active.concat();
-            bytes += contents.len() as u64;
-            write_atomic(&shard_path(&self.path, sealed.len()), &contents)?;
-        }
+        let bytes = match state.store.append(&self.path, &line) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                state.failed = true;
+                return Err(e);
+            }
+        };
         state.appended += 1;
         state.io.appends += 1;
         state.io.bytes_written += bytes;
@@ -527,6 +665,129 @@ impl Checkpoint {
             }
         }
         Ok(())
+    }
+}
+
+/// What [`JournalCursor::take_run`] does with one record.
+pub(crate) enum Step<K> {
+    /// Collect the record under this key.
+    Take(K),
+    /// Pass over the record.
+    Skip,
+    /// End the run here; the record stays for the next call.
+    Stop,
+}
+
+/// A forward reader over the records a journal held when
+/// [`Checkpoint::cursor`] opened it: sealed shards whole, the active shard
+/// up to its length at that moment. It holds one line at a time, verifies
+/// each frame as it reads, and skips shard footers.
+///
+/// Resumable stages replay through one cursor each. Records of one stage,
+/// policy and intake window lie contiguously in the journal: a stage
+/// folds one window's fan-out before it starts the next, and a resumed
+/// run completes the journal's last, partial window before any later one.
+/// So a stage collects each window's records with [`JournalCursor::take_run`]
+/// as it reaches the window, in one pass. A record the cursor has passed
+/// when its window comes (a journal written by a differently ordered run)
+/// is recomputed, never replayed out of order.
+#[derive(Debug)]
+pub(crate) struct JournalCursor {
+    manifest: PathBuf,
+    /// Shard files in view: `0..shards`.
+    shards: usize,
+    /// Shards in view that are sealed, read to their end; shard `sealed`
+    /// (the active one) is read to `tail_bytes`.
+    sealed: usize,
+    tail_bytes: u64,
+    next_shard: usize,
+    /// The open shard: its index, records read from it so far, reader.
+    reader: Option<(usize, usize, LineReader)>,
+    line: Vec<u8>,
+    peeked: Option<JournalRecord>,
+}
+
+impl JournalCursor {
+    /// The next record in journal order, or `None` past the cursor's view.
+    ///
+    /// # Errors
+    ///
+    /// [`ReduceError::JournalCorrupt`] for a line that no longer verifies
+    /// (the files changed after resume verified them);
+    /// [`ReduceError::InvalidConfig`] for an unreadable shard file.
+    pub(crate) fn next_record(&mut self) -> Result<Option<JournalRecord>> {
+        if let Some(record) = self.peeked.take() {
+            return Ok(Some(record));
+        }
+        loop {
+            let Some((shard, record, reader)) = self.reader.as_mut() else {
+                if self.next_shard >= self.shards {
+                    return Ok(None);
+                }
+                let index = self.next_shard;
+                self.next_shard += 1;
+                let limit = if index < self.sealed {
+                    u64::MAX
+                } else {
+                    self.tail_bytes
+                };
+                let path = shard_path(&self.manifest, index);
+                let reader =
+                    LineReader::open(&path, limit).map_err(|e| ReduceError::InvalidConfig {
+                        what: format!("cannot read journal shard {}: {e}", path.display()),
+                    })?;
+                self.reader = Some((index, 0, reader));
+                continue;
+            };
+            let more =
+                reader
+                    .next_line(&mut self.line)
+                    .map_err(|e| ReduceError::InvalidConfig {
+                        what: format!("cannot read journal shard {shard}: {e}"),
+                    })?;
+            if !more {
+                self.reader = None;
+                continue;
+            }
+            let raw = self.line.strip_suffix(b"\n").unwrap_or(&self.line);
+            let corrupt = |kind| ReduceError::JournalCorrupt {
+                shard: *shard,
+                record: *record,
+                kind,
+            };
+            match parse_shard_line(raw).map_err(corrupt)? {
+                ShardLine::Footer(_) => {}
+                ShardLine::Record(r) => {
+                    *record += 1;
+                    return Ok(Some(r));
+                }
+            }
+        }
+    }
+
+    /// Collects the run of records `select` keys, from the cursor's
+    /// position on: [`Step::Take`] records are collected, [`Step::Skip`]
+    /// ones passed over, and the first [`Step::Stop`] ends the run and
+    /// stays for the next call. Memory is the run's records, not the
+    /// journal's.
+    pub(crate) fn take_run<K: Ord>(
+        &mut self,
+        mut select: impl FnMut(&JournalRecord) -> Step<K>,
+    ) -> Result<BTreeMap<K, JournalRecord>> {
+        let mut run = BTreeMap::new();
+        while let Some(record) = self.next_record()? {
+            match select(&record) {
+                Step::Take(key) => {
+                    run.insert(key, record);
+                }
+                Step::Skip => {}
+                Step::Stop => {
+                    self.peeked = Some(record);
+                    break;
+                }
+            }
+        }
+        Ok(run)
     }
 }
 
@@ -617,15 +878,23 @@ pub(crate) fn close_stage(
     }
 }
 
-/// Read-only verification scan of one shard file.
+/// Read-only verification scan of one shard file. It keeps counts and
+/// offsets only: the records were parsed to verify them and dropped.
 struct ShardScan {
     /// Whether the file exists (`false` only for manifest-named shards
     /// whose file is gone).
     exists: bool,
     /// File length in bytes.
     bytes: usize,
-    /// The valid record prefix: `(on-disk line incl. newline, record)`.
-    valid: Vec<(String, JournalRecord)>,
+    /// Records in the valid prefix.
+    valid: usize,
+    /// Bytes of the valid prefix: its lines are the file's first bytes.
+    valid_end: usize,
+    /// The valid prefix's last line has no trailing newline (a write torn
+    /// just before it): an append must not follow until one is added.
+    unterminated: bool,
+    /// Valid-prefix record counts per kind, in first-seen order.
+    kinds: Vec<(&'static str, usize)>,
     /// Footer record-count, when a well-formed footer follows the
     /// valid prefix.
     footer: Option<usize>,
@@ -656,16 +925,19 @@ struct ShardScan {
     /// byte was corrupted — and must not be adopted (and truncated) as a
     /// v3 journal.
     framed_lines: usize,
-    /// Whole-file CRC-32 digest, as eight hex digits.
-    digest: String,
+    /// Whole-file CRC-32.
+    crc: u32,
 }
 
 impl ShardScan {
-    fn empty(exists: bool, bytes: usize) -> Self {
+    fn empty(exists: bool) -> Self {
         ShardScan {
             exists,
-            bytes,
-            valid: Vec::new(),
+            bytes: 0,
+            valid: 0,
+            valid_end: 0,
+            unterminated: false,
+            kinds: Vec::new(),
             footer: None,
             damage: None,
             valid_after: 0,
@@ -673,18 +945,22 @@ impl ShardScan {
             needs_manifest_entry: false,
             digest_mismatch: false,
             framed_lines: 0,
-            digest: String::new(),
+            crc: 0,
         }
     }
 
     fn missing() -> Self {
-        let mut scan = Self::empty(false, 0);
+        let mut scan = Self::empty(false);
         scan.damage = Some((0, CorruptKind::MissingShard));
         scan
     }
 
+    fn digest(&self) -> String {
+        format!("{:08x}", self.crc)
+    }
+
     fn has_content(&self) -> bool {
-        !self.valid.is_empty() || self.valid_after > 0
+        self.valid > 0 || self.valid_after > 0
     }
 
     /// Dropped lines that held (or were torn from) records: the fully
@@ -705,73 +981,61 @@ impl ShardScan {
     }
 }
 
-/// Splits a file into lines, dropping only the trailing empty segment
-/// after a final newline (empty lines elsewhere are real content).
-fn split_file_lines(bytes: &[u8]) -> Vec<&[u8]> {
-    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
-    if lines.last().is_some_and(|l| l.is_empty()) {
-        lines.pop();
+/// Counts one record of `kind` into per-kind counts kept in first-seen
+/// order.
+fn count_kind(kinds: &mut Vec<(&'static str, usize)>, kind: &'static str) {
+    match kinds.iter_mut().find(|(k, _)| *k == kind) {
+        Some((_, n)) => *n += 1,
+        None => kinds.push((kind, 1)),
     }
-    lines
 }
 
-/// Scans one v3 shard: framed lines, optionally terminated by a footer.
-fn scan_v3_shard(bytes: &[u8]) -> ShardScan {
-    enum Line<'a> {
-        Footer(usize),
-        Rec(&'a str, JournalRecord),
-        Bad(CorruptKind),
-    }
-    let mut scan = ShardScan::empty(true, bytes.len());
-    scan.digest = format!("{:08x}", crc32(bytes));
-    for raw in split_file_lines(bytes) {
-        let line = match std::str::from_utf8(raw) {
-            Ok(line) => match parse_frame(line) {
-                Ok(payload) => {
-                    scan.framed_lines += 1;
-                    match parse_footer(payload) {
-                        Some(n) => Line::Footer(n),
-                        None => match parse_record(payload) {
-                            Ok(r) => Line::Rec(line, r),
-                            Err(_) => Line::Bad(CorruptKind::BadRecord),
-                        },
-                    }
-                }
-                Err(kind) => {
-                    // A CRC mismatch still means the frame *structure*
-                    // parsed — only a framed v3 line fails that way.
-                    if kind == CorruptKind::BadCrc {
-                        scan.framed_lines += 1;
-                    }
-                    Line::Bad(kind)
-                }
-            },
-            Err(_) => Line::Bad(CorruptKind::BadFrame),
+/// Scans one v3 shard line by line: framed lines, optionally terminated
+/// by a footer. Lines split at `\n`; a final line without one is still a
+/// line, and an empty line is content (damage), not a separator.
+fn scan_v3_shard(reader: &mut LineReader) -> std::io::Result<ShardScan> {
+    let mut scan = ShardScan::empty(true);
+    let mut raw = Vec::new();
+    while reader.next_line(&mut raw)? {
+        scan.crc = crc32_extend(scan.crc, &raw);
+        scan.bytes += raw.len();
+        let (body, terminated) = match raw.strip_suffix(b"\n") {
+            Some(body) => (body, true),
+            None => (raw.as_slice(), false),
         };
+        let line = parse_shard_line(body);
+        // Only a line that fails to unframe at all is not recognisably
+        // v3; a CRC mismatch still means the frame *structure* parsed.
+        if !matches!(line, Err(CorruptKind::BadFrame)) {
+            scan.framed_lines += 1;
+        }
         if scan.damage.is_none() {
             match line {
-                Line::Footer(n) if scan.footer.is_none() => scan.footer = Some(n),
-                Line::Footer(_) => {
-                    scan.damage = Some((scan.valid.len(), CorruptKind::BadFooter));
+                Ok(ShardLine::Footer(n)) if scan.footer.is_none() => scan.footer = Some(n),
+                Ok(ShardLine::Footer(_)) => {
+                    scan.damage = Some((scan.valid, CorruptKind::BadFooter));
                 }
-                Line::Rec(line, r) if scan.footer.is_none() => {
-                    scan.valid.push((format!("{line}\n"), r));
+                Ok(ShardLine::Record(r)) if scan.footer.is_none() => {
+                    scan.valid += 1;
+                    scan.valid_end = scan.bytes;
+                    scan.unterminated = !terminated;
+                    count_kind(&mut scan.kinds, record_kind_name(&r));
                 }
-                Line::Rec(..) => {
+                Ok(ShardLine::Record(_)) => {
                     // A record after the footer: trailing garbage at best,
                     // a misplaced seal at worst.
-                    scan.damage = Some((scan.valid.len(), CorruptKind::BadFooter));
+                    scan.damage = Some((scan.valid, CorruptKind::BadFooter));
                     scan.valid_after += 1;
                 }
-                Line::Bad(kind) => {
-                    scan.damage = Some((scan.valid.len(), kind));
+                Err(kind) => {
+                    scan.damage = Some((scan.valid, kind));
                 }
             }
-        } else if matches!(line, Line::Rec(..)) {
+        } else if matches!(line, Ok(ShardLine::Record(_))) {
             scan.valid_after += 1;
         }
     }
-    scan
+    Ok(scan)
 }
 
 /// The full verification scan [`Checkpoint::resume_observed`],
@@ -842,7 +1106,11 @@ impl JournalScan {
             || self
                 .shards
                 .iter()
-                .any(|s| s.needs_manifest_entry || s.digest_mismatch)
+                .any(|s| s.needs_manifest_entry || s.digest_mismatch || s.unterminated)
+            || self
+                .shards
+                .iter()
+                .any(|s| !s.sealed && s.valid >= self.shard_records)
     }
 }
 
@@ -895,8 +1163,10 @@ fn scan_shard_files(path: &Path, named: usize) -> Result<Vec<ShardScan>> {
     let mut index = 0;
     while index < named || last_on_disk.is_some_and(|last| index <= last) {
         let shard = shard_path(path, index);
-        match std::fs::read(&shard) {
-            Ok(bytes) => shards.push(scan_v3_shard(&bytes)),
+        let scanned =
+            LineReader::open(&shard, u64::MAX).and_then(|mut reader| scan_v3_shard(&mut reader));
+        match scanned {
+            Ok(scan) => shards.push(scan),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 shards.push(ShardScan::missing());
             }
@@ -926,7 +1196,7 @@ fn mark_orphans(shards: &mut [ShardScan]) {
         return;
     };
     if rest.iter().any(ShardScan::has_content) && trunc.damage.is_none() {
-        trunc.damage = Some((trunc.valid.len(), CorruptKind::MissingShard));
+        trunc.damage = Some((trunc.valid, CorruptKind::MissingShard));
     }
     for s in rest {
         s.sealed = false;
@@ -993,17 +1263,17 @@ fn scan_journal(path: &Path) -> Result<Option<JournalScan>> {
             continue;
         }
         match shard.footer {
-            Some(n) if n == shard.valid.len() => {
+            Some(n) if n == shard.valid => {
                 shard.sealed = true;
                 match digests.get(i) {
-                    Some(named) if *named == shard.digest => {}
+                    Some(named) if *named == shard.digest() => {}
                     Some(_) => shard.digest_mismatch = true,
                     None => shard.needs_manifest_entry = true,
                 }
             }
-            Some(_) => shard.damage = Some((shard.valid.len(), CorruptKind::BadFooter)),
+            Some(_) => shard.damage = Some((shard.valid, CorruptKind::BadFooter)),
             None if i < digests.len() => {
-                shard.damage = Some((shard.valid.len(), CorruptKind::BadFooter));
+                shard.damage = Some((shard.valid, CorruptKind::BadFooter));
             }
             None => {} // the active shard
         }
@@ -1025,11 +1295,9 @@ fn scan_journal(path: &Path) -> Result<Option<JournalScan>> {
     }))
 }
 
-/// The healed in-memory layout [`heal_journal`] hands back to resume.
+/// The healed layout [`heal_journal`] hands back to resume.
 struct HealedLayout {
-    records: Vec<JournalRecord>,
     store: Store,
-    kept: usize,
     dropped_records: usize,
     dropped_bytes: usize,
 }
@@ -1049,33 +1317,41 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
     } = scan;
     let shard_count = shards.len();
     let damage_shard = shards.iter().position(|s| s.damage.is_some());
-    let mut records = Vec::new();
+    let mut store = Store::new(shard_records);
+    store.manifest_written = true;
     let mut dropped_records = 0usize;
     let mut dropped_bytes = 0usize;
-
-    let mut sealed_digests: Vec<String> = Vec::new();
-    let mut active: Vec<String> = Vec::new();
     let mut manifest_dirty = manifest_damage.is_some();
     for (i, shard) in shards.into_iter().enumerate() {
+        let file = shard_path(path, i);
         if damage_shard == Some(i) {
-            // Truncate this shard back to its valid record prefix.
-            let dropped_slots = shard.dropped_record_slots();
-            let mut lines = Vec::with_capacity(shard.valid.len());
-            for (line, record) in shard.valid {
-                lines.push(line);
-                records.push(record);
+            // Truncate this shard back to its valid record prefix, which
+            // is the file's first `valid_end` bytes.
+            let bytes = match shard.valid_end {
+                0 => Vec::new(), // nothing to keep (the file may be gone)
+                _ => std::fs::read(&file).map_err(|e| ReduceError::InvalidConfig {
+                    what: format!("cannot read journal shard {}: {e}", file.display()),
+                })?,
+            };
+            let prefix = bytes.get(..shard.valid_end).unwrap_or_default();
+            let mut contents = String::from_utf8_lossy(prefix).into_owned();
+            if shard.unterminated {
+                contents.push('\n');
             }
-            let kept_here = lines.len();
+            let kept_here = shard.valid;
             let resealable = kept_here == shard_records;
-            let mut contents = lines.concat();
             if resealable {
                 contents.push_str(&render_footer(kept_here));
             }
-            write_atomic(&shard_path(path, i), &contents)?;
+            write_atomic(&file, &contents)?;
+            store.records += kept_here;
             if resealable {
-                sealed_digests.push(shard_digest(&contents));
+                store
+                    .sealed
+                    .push(format!("{:08x}", crc32(contents.as_bytes())));
             } else {
-                active = lines;
+                store.active_records = kept_here;
+                store.extend_active(&contents);
             }
             manifest_dirty = true;
             let dropped = shard.bytes.saturating_sub(contents.len());
@@ -1084,7 +1360,7 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
                 kept: kept_here,
                 dropped_bytes: dropped,
             });
-            for record in kept_here..kept_here + dropped_slots {
+            for record in kept_here..kept_here + shard.dropped_record_slots() {
                 observer.on_event(&Event::RecordDropped { shard: i, record });
             }
             dropped_records += shard.valid_after;
@@ -1093,7 +1369,7 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
             // Everything after the truncation point is discarded. (Valid
             // content here only survives to this point under
             // [`repair_journal`] — resume's corrupt check refuses it.)
-            dropped_records += shard.valid.len() + shard.valid_after;
+            dropped_records += shard.valid + shard.valid_after;
             dropped_bytes += shard.bytes;
             manifest_dirty = true;
             if shard.exists {
@@ -1102,24 +1378,33 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
                     kept: 0,
                     dropped_bytes: shard.bytes,
                 });
-                for record in 0..shard.valid.len() + shard.dropped_record_slots() {
+                for record in 0..shard.valid + shard.dropped_record_slots() {
                     observer.on_event(&Event::RecordDropped { shard: i, record });
                 }
-                let _ = std::fs::remove_file(shard_path(path, i));
+                let _ = std::fs::remove_file(&file);
             }
         } else if shard.sealed {
-            sealed_digests.push(shard.digest.clone());
+            store.sealed.push(shard.digest());
+            store.records += shard.valid;
             if shard.needs_manifest_entry || shard.digest_mismatch {
                 manifest_dirty = true;
             }
-            for (_, record) in shard.valid {
-                records.push(record);
-            }
         } else {
-            // The clean active (partial) shard.
-            for (line, record) in shard.valid {
-                active.push(line);
-                records.push(record);
+            // The clean active shard. A final line torn just before its
+            // newline is complete; terminate it so the next append starts
+            // a line of its own. A full shard lost its footer to a crash
+            // between the last record and the seal: seal it now.
+            store.records += shard.valid;
+            store.active_records = shard.valid;
+            store.active_bytes = shard.bytes as u64;
+            store.active_crc = shard.crc;
+            if shard.unterminated {
+                append_durable(&file, "\n")?;
+                store.extend_active("\n");
+            }
+            if shard.valid >= shard_records {
+                store.seal_active(&file)?;
+                manifest_dirty = true;
             }
         }
     }
@@ -1132,19 +1417,11 @@ fn heal_journal(path: &Path, scan: JournalScan, observer: &dyn Observer) -> Resu
         let _ = std::fs::remove_file(shard_path(path, stray));
         stray += 1;
     }
-    if manifest_dirty || sealed_digests.len() != manifest_sealed {
-        write_atomic(path, &render_manifest_v3(shard_records, &sealed_digests))?;
+    if manifest_dirty || store.sealed.len() != manifest_sealed {
+        store.write_manifest(path)?;
     }
-    let kept = records.len();
     Ok(HealedLayout {
-        records,
-        store: Store {
-            shard_records,
-            manifest_written: true,
-            sealed: sealed_digests,
-            active,
-        },
-        kept,
+        store,
         dropped_records,
         dropped_bytes,
     })
@@ -1249,12 +1526,11 @@ pub fn inspect_journal(path: &Path) -> Result<JournalHealth> {
         if damage_shard.is_some_and(|d| i > d) {
             continue; // beyond the truncation point — not replayable
         }
-        for (_, record) in &shard.valid {
-            records += 1;
-            let name = record_kind_name(record);
+        records += shard.valid;
+        for &(name, n) in &shard.kinds {
             match kinds.iter_mut().find(|(k, _)| *k == name) {
-                Some((_, n)) => *n += 1,
-                None => kinds.push((name, 1)),
+                Some((_, total)) => *total += n,
+                None => kinds.push((name, n)),
             }
         }
         if let Some((record, kind)) = shard.damage {
@@ -1342,7 +1618,7 @@ pub fn repair_journal(path: &Path, observer: &dyn Observer) -> Result<RepairSumm
     let was_clean = !scan.needs_heal();
     let healed = heal_journal(path, scan, observer)?;
     Ok(RepairSummary {
-        kept: healed.kept,
+        kept: healed.store.records,
         dropped_records: healed.dropped_records,
         dropped_bytes: healed.dropped_bytes,
         was_clean,
@@ -1519,8 +1795,8 @@ fn render_record(record: &JournalRecord) -> String {
     s
 }
 
-fn parse_record(line: &str) -> Result<JournalRecord> {
-    let value = parse(line)?;
+/// Decodes one record from its parsed JSON payload.
+fn record_from_value(value: &JsonValue) -> Result<JournalRecord> {
     let bad = |what: &str| ReduceError::InvalidConfig {
         what: format!("malformed journal record: {what}"),
     };
@@ -1603,7 +1879,7 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
                 None => return Err(bad("epochs_to_constraint")),
             };
             Ok(JournalRecord::Point {
-                job: u64_of(&value, "job")?,
+                job: u64_of(value, "job")?,
                 point: ResiliencePoint {
                     rate_index: usize_of(p, "rate_index")?,
                     rate: f64_of(p, "rate")?,
@@ -1612,18 +1888,18 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
                     accuracy_after_epoch,
                     epochs_to_constraint,
                 },
-                workspace: workspace_of(&value)?,
-                events: events_of(&value)?,
+                workspace: workspace_of(value)?,
+                events: events_of(value)?,
             })
         }
         Some("point_failed") => Ok(JournalRecord::PointFailed {
-            job: u64_of(&value, "job")?,
-            rate_index: usize_of(&value, "rate_index")?,
-            rate: f64_of(&value, "rate")?,
-            repeat: usize_of(&value, "repeat")?,
-            attempts: attempts_of(&value)?,
-            error: str_of(&value, "error")?,
-            events: events_of(&value)?,
+            job: u64_of(value, "job")?,
+            rate_index: usize_of(value, "rate_index")?,
+            rate: f64_of(value, "rate")?,
+            repeat: usize_of(value, "repeat")?,
+            attempts: attempts_of(value)?,
+            error: str_of(value, "error")?,
+            events: events_of(value)?,
         }),
         Some("fleet_batch") => {
             let chips = match value.field("chips") {
@@ -1667,14 +1943,14 @@ fn parse_record(line: &str) -> Result<JournalRecord> {
                 _ => return Err(bad("clusters")),
             };
             Ok(JournalRecord::FleetBatch {
-                policy: str_of(&value, "policy")?,
-                window: usize_of(&value, "window")?,
-                budget: usize_of(&value, "budget")?,
-                chunk: usize_of(&value, "chunk")?,
+                policy: str_of(value, "policy")?,
+                window: usize_of(value, "window")?,
+                budget: usize_of(value, "budget")?,
+                chunk: usize_of(value, "chunk")?,
                 clusters,
                 chips,
-                workspace: workspace_of(&value)?,
-                events: events_of(&value)?,
+                workspace: workspace_of(value)?,
+                events: events_of(value)?,
             })
         }
         Some(other) => Err(bad(&format!("unknown kind {other:?}"))),
@@ -1892,38 +2168,48 @@ mod tests {
         assert_eq!(batch.grid_key(), None);
     }
 
+    /// A grid-failure record whose framed line has the same length for
+    /// every `i < 9000`.
+    fn fixed_size_record(i: u64) -> JournalRecord {
+        JournalRecord::PointFailed {
+            job: 1000 + i,
+            rate_index: 0,
+            rate: 0.1,
+            repeat: 0,
+            attempts: 1,
+            error: "synthetic failure for shard accounting".to_string(),
+            events: vec![],
+        }
+    }
+
     #[test]
-    fn shards_bound_bytes_per_append() {
-        let path = scratch("shard_bound");
+    fn append_bytes_do_not_grow_with_the_journal() {
+        let path = scratch("append_bytes");
+        cleanup(&path);
         let journal = Checkpoint::create(&path).with_shard_records(4);
-        let mut max_line = 0u64;
-        for i in 0..64 {
-            let record = JournalRecord::PointFailed {
-                job: i,
-                rate_index: 0,
-                rate: 0.1,
-                repeat: i as usize,
-                attempts: 1,
-                error: "synthetic failure for shard accounting".to_string(),
-                events: vec![],
+        let line = frame_line(render_record(&fixed_size_record(0)).trim_end()).len() as u64;
+        let footer = render_footer(4).len() as u64;
+        let mut written = 0;
+        for i in 0..64u64 {
+            journal.append(fixed_size_record(i)).expect("append");
+            let io = journal.io_stats().expect("stats");
+            let bytes = io.bytes_written - written;
+            written = io.bytes_written;
+            let manifest = std::fs::metadata(&path).expect("manifest exists").len();
+            // The N-th append writes one framed record whatever N is;
+            // the first adds the manifest, a seal the footer and the
+            // rewritten manifest.
+            let expected = match i {
+                0 => line + manifest,
+                _ if i % 4 == 3 => line + footer + manifest,
+                _ => line,
             };
-            max_line = max_line.max(frame_line(render_record(&record).trim_end()).len() as u64);
-            journal.append(record).expect("append");
+            assert_eq!(bytes, expected, "append {i}");
         }
         let io = journal.io_stats().expect("stats");
         assert_eq!(io.appends, 64);
-        // The largest single rewrite covers at most one full shard (with
-        // its seal footer) plus the manifest, never the whole 64-record
-        // journal. The on-disk manifest names all 16 digests — the largest
-        // it ever gets.
-        let manifest_bytes = std::fs::metadata(&path).expect("manifest exists").len();
-        let footer_bytes = render_footer(4).len() as u64;
-        let bound = 4 * max_line + footer_bytes + manifest_bytes;
-        assert!(
-            io.max_append_bytes <= bound,
-            "append rewrote more than a shard: {} > {bound}",
-            io.max_append_bytes,
-        );
+        let manifest = std::fs::metadata(&path).expect("manifest exists").len();
+        assert_eq!(io.max_append_bytes, line + footer + manifest);
         // 64 records over 4-record shards => 16 sealed segments on disk,
         // each holding its records plus the seal footer.
         for shard in 0..16 {
@@ -1933,10 +2219,148 @@ mod tests {
         assert!(!shard_path(&path, 16).exists(), "no stray 17th shard");
         // Resume stitches every shard back together.
         let resumed = Checkpoint::resume(&path).expect("parseable journal");
-        assert_eq!(resumed.records().expect("records").len(), 64);
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::remove_dir_all(dir);
+        assert_eq!(
+            resumed.records().expect("records"),
+            (0..64).map(fixed_size_record).collect::<Vec<_>>()
+        );
+        assert_eq!(resumed.record_count().expect("count"), 64);
+        cleanup(&path);
+
+        // At the default shard size, the bytes written are the journal's
+        // on-disk size plus the few manifest rewrites.
+        let journal = Checkpoint::create(&path);
+        for i in 0..600 {
+            journal.append(fixed_size_record(i)).expect("append");
         }
+        let written = journal.io_stats().expect("stats").bytes_written;
+        let on_disk = inspect_journal(&path).expect("inspect").total_bytes as u64;
+        assert!(
+            written >= on_disk && written * 10 <= on_disk * 11,
+            "{written} bytes written for a {on_disk}-byte journal"
+        );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn cursor_sees_the_journal_as_it_was_when_opened() {
+        let path = scratch("cursor_view");
+        cleanup(&path);
+        let journal = Checkpoint::create(&path).with_shard_records(2);
+        assert!(journal
+            .cursor()
+            .expect("cursor")
+            .next_record()
+            .expect("read")
+            .is_none());
+        for i in 0..3 {
+            journal.append(small_record(i)).expect("append");
+        }
+        let mut cursor = journal.cursor().expect("cursor");
+        // Appends after the cursor opened — filling and sealing its
+        // partial shard — stay out of its view.
+        for i in 3..6 {
+            journal.append(small_record(i)).expect("append");
+        }
+        let mut seen = Vec::new();
+        while let Some(record) = cursor.next_record().expect("read") {
+            seen.push(record);
+        }
+        assert_eq!(seen, (0..3).map(small_record).collect::<Vec<_>>());
+        assert_eq!(journal.records().expect("records").len(), 6);
+
+        // `take_run` collects, skips and stops; the stopping record stays
+        // for the next run.
+        let job = |r: &JournalRecord| match r {
+            JournalRecord::PointFailed { job, .. } => *job,
+            _ => u64::MAX,
+        };
+        let mut cursor = journal.cursor().expect("cursor");
+        let first = cursor
+            .take_run(|r| match job(r) {
+                1 => Step::Skip,
+                j if j < 3 => Step::Take(j),
+                _ => Step::Stop,
+            })
+            .expect("read");
+        assert_eq!(first.keys().copied().collect::<Vec<_>>(), [0, 2]);
+        let rest = cursor.take_run(|r| Step::Take(job(r))).expect("read");
+        assert_eq!(rest.keys().copied().collect::<Vec<_>>(), [3, 4, 5]);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_failed_append_refuses_later_appends_until_resume() {
+        use crate::artifact::{install_io_policy, FaultKind, FaultyIo, IoOp, IoPolicy};
+        use std::sync::Arc;
+
+        let path = scratch("failed_append");
+        cleanup(&path);
+        std::fs::create_dir_all(path.parent().expect("has parent")).expect("temp dir");
+        let journal = Checkpoint::create(&path).with_shard_records(8);
+        for i in 0..2 {
+            journal.append(small_record(i)).expect("append");
+        }
+        let scope = path.parent().expect("has parent").to_path_buf();
+        // Op 0 of the next append is its `append-write`: torn half-way.
+        let injected = Arc::new(FaultyIo::armed(&scope, 1, 0, FaultKind::Torn));
+        {
+            let _guard = install_io_policy(IoPolicy::Faulty(injected.clone()));
+            assert!(journal.append(small_record(2)).is_err());
+        }
+        assert_eq!(
+            injected.trace().first().map(|(op, _)| *op),
+            Some(IoOp::AppendWrite)
+        );
+        // The disk works again, but the shard ends in a torn line: the
+        // journal refuses to bury it under a later record.
+        let err = journal.append(small_record(3)).expect_err("refused");
+        assert!(err.to_string().contains("earlier append failed"), "{err}");
+        assert_eq!(
+            inspect_journal(&path).expect("inspect").status,
+            JournalStatus::Healable
+        );
+        let resumed = Checkpoint::resume(&path).expect("torn tail heals");
+        resumed
+            .append(small_record(2))
+            .expect("append after resume");
+        assert_eq!(
+            resumed.records().expect("records"),
+            (0..3).map(small_record).collect::<Vec<_>>()
+        );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_final_line_torn_before_its_newline_is_kept_and_terminated() {
+        let path = scratch("unterminated");
+        cleanup(&path);
+        let journal = Checkpoint::create(&path).with_shard_records(8);
+        for i in 0..3 {
+            journal.append(small_record(i)).expect("append");
+        }
+        let shard = shard_path(&path, 0);
+        let contents = std::fs::read(&shard).expect("active shard");
+        std::fs::write(&shard, &contents[..contents.len() - 1]).expect("temp write");
+        assert_eq!(
+            inspect_journal(&path).expect("inspect").status,
+            JournalStatus::Healable
+        );
+        let resumed = Checkpoint::resume(&path).expect("heals");
+        assert_eq!(resumed.record_count().expect("count"), 3);
+        assert_eq!(std::fs::read(&shard).expect("active shard"), contents);
+        resumed.append(small_record(3)).expect("append");
+        assert_eq!(
+            Checkpoint::resume(&path)
+                .expect("resume")
+                .records()
+                .expect("records"),
+            (0..4).map(small_record).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            inspect_journal(&path).expect("inspect").status,
+            JournalStatus::Clean
+        );
+        cleanup(&path);
     }
 
     /// A collecting observer for asserting on heal telemetry.
@@ -2420,9 +2844,23 @@ mod tests {
 
     #[test]
     fn fault_sweep_every_io_op_resumes_or_reports_typed_corruption() {
-        use crate::artifact::{install_io_policy, FaultKind, FaultyIo, IoPolicy};
+        use crate::artifact::{install_io_policy, FaultKind, FaultyIo, IoOp, IoPolicy};
         use std::sync::Arc;
 
+        // The journal's files (`.tmp` leftovers aside), by name.
+        let journal_files = |path: &Path| {
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(path.parent().unwrap())
+                .expect("list dir")
+                .map(|e| e.expect("dir entry").path())
+                .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+                .map(|p| {
+                    let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read(&p).expect("read file"))
+                })
+                .collect();
+            files.sort();
+            files
+        };
         let records: Vec<JournalRecord> = (0..8).map(small_record).collect();
         // Pass 1: count the IO operations a clean run performs.
         let path = scratch("sweep_count");
@@ -2441,13 +2879,24 @@ mod tests {
             total_ops > 20,
             "expected a rich op sequence, got {total_ops}"
         );
+        // The sweep covers in-place appends as well as atomic writes.
+        let ops: Vec<IoOp> = counter.trace().into_iter().map(|(op, _)| op).collect();
+        for op in [
+            IoOp::WriteTemp,
+            IoOp::Rename,
+            IoOp::AppendWrite,
+            IoOp::AppendSync,
+        ] {
+            assert!(ops.contains(&op), "no {} op in the sweep", op.name());
+        }
+        let clean = journal_files(&path);
         cleanup(&path);
 
         // Pass 2: re-run the same append sequence, killing the backend at
         // every operation index with every fault kind. Every crash point
         // must either resume to a strict prefix or report typed corruption
         // that `repair_journal` fixes — and re-appending the remainder must
-        // always reconstruct the full record sequence.
+        // always reconstruct the clean run's journal, byte for byte.
         for index in 0..total_ops {
             for kind in FaultKind::ALL {
                 let path = scratch(&format!("sweep_{index}_{}", kind.name()));
@@ -2464,7 +2913,9 @@ mod tests {
                     }
                 }
                 assert!(injected.fired(), "op {index} never executed");
-                // Recovery runs with real IO (the process restarted).
+                // Recovery runs with real IO (the process restarted). A
+                // crash before the manifest landed resumes an empty
+                // journal, which takes the run's shard size.
                 let resumed = match Checkpoint::resume(&path) {
                     Ok(journal) => journal,
                     Err(ReduceError::JournalCorrupt { .. }) => {
@@ -2474,7 +2925,8 @@ mod tests {
                     Err(other) => {
                         panic!("op {index} kind {} gave untyped {other}", kind.name())
                     }
-                };
+                }
+                .with_shard_records(3);
                 let kept = resumed.records().expect("records");
                 assert!(
                     kept.len() <= records.len(),
@@ -2495,6 +2947,11 @@ mod tests {
                     full.records().expect("records"),
                     records,
                     "op {index} kind {} lost records",
+                    kind.name()
+                );
+                assert!(
+                    journal_files(&path) == clean,
+                    "op {index} kind {} left a journal that differs from the clean run's",
                     kind.name()
                 );
                 cleanup(&path);

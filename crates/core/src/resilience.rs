@@ -16,7 +16,7 @@
 use crate::error::{ReduceError, Result};
 use crate::exec::{self, ExecConfig, JobReport, JobStatus};
 use crate::fat::{FatRunner, Mitigation, StopRule};
-use crate::journal::{self, Checkpoint, JournalRecord};
+use crate::journal::{self, Checkpoint, JournalRecord, Step};
 use crate::telemetry::{self, EpochScope, Event, Stage};
 use crate::workbench::Pretrained;
 use reduce_nn::WorkspaceStats;
@@ -396,16 +396,15 @@ impl ResilienceAnalysis {
                 (0..repeats).map(move |rep| ((ri * repeats + rep) as u64, (ri, rate, rep)))
             })
             .collect();
-        let mut replayed = BTreeMap::new();
-        for record in checkpoint
-            .map(Checkpoint::records)
-            .transpose()?
-            .unwrap_or_default()
-        {
-            if let Some(key) = record.grid_key() {
-                replayed.insert(key, record);
-            }
-        }
+        // The grid's records lead the journal: Step ① runs first, so the
+        // first record of another kind ends them.
+        let mut replayed = match checkpoint {
+            Some(cp) => cp.cursor()?.take_run(|record| match record.grid_key() {
+                Some(key) => Step::Take(key),
+                None => Step::Stop,
+            })?,
+            None => BTreeMap::new(),
+        };
         let mut points = Vec::with_capacity(cells.len());
         let mut failures = Vec::new();
         telemetry::timed_stage(exec.observer(), Stage::Characterize, || {

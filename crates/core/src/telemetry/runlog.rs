@@ -7,10 +7,10 @@
 
 use super::json::{push_json_f32, push_json_f64, push_json_string, JsonValue};
 use super::{EpochScope, Event, Observer, Stage};
-use crate::artifact::write_atomic;
+use crate::artifact::StagedFile;
 use crate::error::{ReduceError, Result};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
 /// A JSON-lines run-log writer.
@@ -19,10 +19,11 @@ use std::sync::Mutex;
 /// first error is latched and surfaced by [`RunLog::flush`], which
 /// callers should invoke once the run completes.
 ///
-/// [`RunLog::create`] builds a file-backed log that accumulates lines in
-/// memory and writes the whole artifact atomically (temp file + rename,
-/// see [`crate::artifact`]) on [`RunLog::flush`] — an interrupted run
-/// never leaves a torn `run_log.jsonl` behind.
+/// [`RunLog::create`] builds a file-backed log that streams its lines
+/// into a temporary file beside the artifact and publishes it atomically
+/// (fsync + rename, see `crate::artifact::StagedFile`) on
+/// [`RunLog::flush`]: memory stays constant however long the run, and an
+/// interrupted run never leaves a torn `run_log.jsonl` behind.
 pub struct RunLog {
     sink: Mutex<LogState>,
     redact_timing: bool,
@@ -36,8 +37,9 @@ struct LogState {
 enum LogSink {
     /// Streams lines to an arbitrary writer (in-memory buffers in tests).
     Stream(Box<dyn Write + Send>),
-    /// Buffers lines and writes the file atomically on flush.
-    Atomic { path: PathBuf, buf: String },
+    /// Streams lines into a staged file published atomically on flush;
+    /// `None` once published.
+    Staged(Option<StagedFile>),
 }
 
 impl RunLog {
@@ -53,20 +55,18 @@ impl RunLog {
         }
     }
 
-    /// A file-backed log at `path`: lines accumulate in memory and
-    /// [`RunLog::flush`] writes the complete artifact atomically.
+    /// A file-backed log at `path`: lines stream into a temporary file
+    /// beside it (created with the first line), and [`RunLog::flush`]
+    /// publishes the complete artifact atomically. `path` itself is
+    /// untouched until then.
     ///
     /// # Errors
     ///
-    /// Infallible today (the file is only touched at flush time); kept
-    /// fallible for call-site compatibility and future validation.
+    /// [`ReduceError::InvalidConfig`] when `path` has no file name.
     pub fn create(path: &Path, redact_timing: bool) -> Result<Self> {
         Ok(RunLog {
             sink: Mutex::new(LogState {
-                sink: LogSink::Atomic {
-                    path: path.to_path_buf(),
-                    buf: String::new(),
-                },
+                sink: LogSink::Staged(Some(StagedFile::create(path)?)),
                 error: None,
             }),
             redact_timing,
@@ -79,8 +79,9 @@ impl RunLog {
     }
 
     /// Flushes the log — for a file-backed log this is the moment the
-    /// artifact is (atomically) written — and reports the first write
-    /// error encountered since creation, if any.
+    /// artifact is (atomically) published; events arriving after that are
+    /// a latched error — and reports the first write error encountered
+    /// since creation, if any.
     ///
     /// # Errors
     ///
@@ -93,7 +94,10 @@ impl RunLog {
         if state.error.is_none() {
             let flushed = match &mut state.sink {
                 LogSink::Stream(writer) => writer.flush().map_err(|e| e.to_string()),
-                LogSink::Atomic { path, buf } => write_atomic(path, buf).map_err(|e| e.to_string()),
+                LogSink::Staged(staged) => match staged.take() {
+                    Some(file) => file.publish().map_err(|e| e.to_string()),
+                    None => Ok(()),
+                },
             };
             if let Err(e) = flushed {
                 state.error = Some(e);
@@ -124,7 +128,14 @@ impl Observer for RunLog {
                     state.error = Some(e.to_string());
                 }
             }
-            LogSink::Atomic { buf, .. } => buf.push_str(&line),
+            LogSink::Staged(Some(file)) => {
+                if let Err(e) = file.write_str(&line) {
+                    state.error = Some(e.to_string());
+                }
+            }
+            LogSink::Staged(None) => {
+                state.error = Some("event after the run log was published".to_string());
+            }
         }
     }
 }
@@ -696,16 +707,30 @@ mod tests {
 
     #[test]
     fn create_writes_a_real_file() {
-        let dir = std::env::temp_dir().join("reduce_runlog_test");
+        let dir = std::env::temp_dir().join(format!("reduce_runlog_test_{}", std::process::id()));
         let path = dir.join("run_log.jsonl");
         let log = RunLog::create(&path, true).expect("temp dir writable");
         assert!(log.redacts_timing());
         log.on_event(&Event::StageStarted {
             stage: Stage::Deploy,
         });
+        assert!(!path.exists(), "the log is invisible until it is complete");
         log.flush().expect("flush succeeds");
         let text = std::fs::read_to_string(&path).expect("just written");
         assert!(text.contains("stage_started"));
+        assert!(
+            !dir.join("run_log.jsonl.tmp").exists(),
+            "the staged file was renamed into place"
+        );
+        log.flush()
+            .expect("a second flush with nothing new is a no-op");
+        log.on_event(&Event::StageStarted {
+            stage: Stage::Deploy,
+        });
+        assert!(
+            log.flush().is_err(),
+            "events after the publish are reported"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 }

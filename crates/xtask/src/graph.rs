@@ -19,7 +19,8 @@
 //! island boundary, so callers observe them as pure: the
 //! `telemetry::Stopwatch` wall-clock read (whose output is redacted
 //! from result artifacts) and `reduce_core::artifact` (the atomic
-//! temp-file+rename writer — the *only* way results reach disk). The
+//! temp-file+rename writer, the journal's durable append and its line
+//! reader — the *only* way results reach disk or replay reads them). The
 //! unsafe-island list is shared with the `unsafe-island` token lint and
 //! is currently empty.
 //!
@@ -51,11 +52,14 @@ pub const ROOT_MARKERS: [&str; 2] = ["parallel_map", "run_job_resilient"];
 /// Function-id suffixes rooted directly: the resumable journal replay
 /// path, plus the seal and fold steps both stages hand
 /// `journal::run_or_replay` (fresh and replayed records fold alike).
-/// `Checkpoint::resume`'s raw file read is intake, not replay; the replay
-/// contract starts where parsed records are handed back.
-pub const EXTRA_ROOT_SUFFIXES: [&str; 7] = [
+/// `Checkpoint::resume`'s verifying scan is intake, not replay; the
+/// replay contract starts where the cursor hands parsed records back
+/// (its shard reads go through the `artifact` io island).
+pub const EXTRA_ROOT_SUFFIXES: [&str; 9] = [
     "journal::Checkpoint::records",
-    "journal::parse_record",
+    "journal::JournalCursor::next_record",
+    "journal::JournalCursor::take_run",
+    "journal::record_from_value",
     "journal::render_record",
     "fleet::FleetEvaluation::run_batch",
     "fleet::ReportAccumulator::fold",

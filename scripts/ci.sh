@@ -163,7 +163,7 @@ diff <(normalise_nums BENCH_gemm.json) \
 echo "    all kernels pass their correctness gates; BENCH_gemm.json schema"
 echo "    matches the checked-in document"
 
-echo "==> large-fleet streaming gate (fig3 --fleet-size 20000)"
+echo "==> large-fleet streaming gate (fig3 --fleet-size 20000, journaled 20000/80000)"
 # The streaming fleet pipeline must hold memory constant at 10^4+ chips:
 # chips come from a seeded source (never a materialised Vec), outcomes
 # fold into a constant-size report, and the journal is sharded. Gate on
@@ -187,6 +187,42 @@ rss_kb=$(grep -oE 'peak_rss_kb=[0-9]+' "$fleet_out/stdout.txt" | cut -d= -f2)
 diff <(normalise_nums "$fleet_out/BENCH_fleet.json") <(normalise_nums BENCH_fleet.json)
 echo "    20000-chip streamed fleet held peak RSS at ${rss_kb} kB (< 768 MB ceiling);"
 echo "    BENCH_fleet.json schema matches the checked-in document"
+# The journal and the run log must keep a journaled (--out) stream
+# constant in memory too: each append writes one record and keeps none,
+# and the run log streams to disk. Quadrupling the fleet may grow the
+# peak RSS by at most 4 MB. An 80k-chip kill-and-resume must then
+# publish byte-identical redacted artifacts.
+fleet_rss() { grep -oE 'peak_rss_kb=[0-9]+' "$1" | cut -d= -f2; }
+fleet_run() { # $1: chips, then extra fig3 flags
+    local chips=$1
+    shift
+    (cd "$fleet_out/j$chips" && "$target_dir/release/fig3" \
+        --scale smoke --policy fixed:0 --fleet-size "$chips" --threads 4 \
+        --redact-timing "$@")
+}
+for chips in 20000 80000; do
+    mkdir -p "$fleet_out/j$chips"
+    fleet_run "$chips" --out run > "$fleet_out/j$chips/stdout.txt"
+    grep -q "^journal io: " "$fleet_out/j$chips/stdout.txt" || {
+        echo "fig3 --out did not report the journal's IoStats"; exit 1; }
+done
+rss_20k=$(fleet_rss "$fleet_out/j20000/stdout.txt")
+rss_80k=$(fleet_rss "$fleet_out/j80000/stdout.txt")
+[ -n "$rss_20k" ] && [ -n "$rss_80k" ] || { echo "journaled fig3 did not report peak_rss_kb"; exit 1; }
+[ "$rss_80k" -lt 786432 ] || { echo "peak RSS ${rss_80k} kB breaks the 768 MB ceiling"; exit 1; }
+[ $((rss_80k - rss_20k)) -le 4096 ] || {
+    echo "journaled peak RSS grew from ${rss_20k} kB (20k chips) to ${rss_80k} kB (80k chips)"
+    exit 1; }
+rc=0
+fleet_run 80000 --out cut --halt-after 1200 >/dev/null || rc=$?
+[ "$rc" -eq 3 ] || { echo "expected --halt-after to exit 3, got $rc"; exit 1; }
+fleet_run 80000 --resume cut >/dev/null
+diff "$fleet_out/j80000/run/run_log.jsonl" "$fleet_out/j80000/cut/run_log.jsonl"
+diff "$fleet_out/j80000/run/manifest.json" "$fleet_out/j80000/cut/manifest.json"
+jt verify "$fleet_out/j80000/cut" >/dev/null || {
+    echo "resumed 80000-chip journal did not verify clean"; exit 1; }
+echo "    journaled stream: peak RSS ${rss_20k} kB at 20000 chips, ${rss_80k} kB at 80000;"
+echo "    80000-chip kill-and-resume artifacts are byte-identical"
 
 echo "==> eFAT strategy gate (clustered beats per-chip Reduce, deterministically)"
 # The cluster-aware pipeline must earn its keep on the same seeded smoke

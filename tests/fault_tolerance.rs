@@ -14,10 +14,14 @@
 use reduce_repro::core::exec::ChaosPolicy;
 use reduce_repro::core::telemetry::{Observer, RunLog};
 use reduce_repro::core::{
-    Checkpoint, ChipStatus, ExecConfig, FatRunner, FleetEvaluation, Mitigation, ResilienceAnalysis,
-    ResilienceConfig, RetrainPolicy, Workbench,
+    Checkpoint, ChipStatus, ExecConfig, FatRunner, FleetEvaluation, FleetReport, FleetStrategy,
+    JournalRecord, Mitigation, ResilienceAnalysis, ResilienceConfig, RetrainPolicy, Statistic,
+    Workbench,
 };
-use reduce_repro::systolic::{generate_fleet, Chip, FaultModel, FleetConfig, RateDistribution};
+use reduce_repro::systolic::{
+    generate_fleet, Chip, ClusterConfig, FaultModel, FleetConfig, RateDistribution,
+};
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -379,5 +383,128 @@ fn quarantined_cells_resume_as_quarantined() {
     .expect("pure replay");
     assert_eq!(resumed.points(), first.points());
     assert_eq!(resumed.failures(), first.failures());
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The stage, policy and intake window a journal record belongs to.
+fn record_group(record: &JournalRecord) -> (String, usize) {
+    match record.batch_key() {
+        Some((policy, window, _, _)) => (policy.to_string(), window),
+        None => ("grid".to_string(), 0),
+    }
+}
+
+/// Asserts that every (stage, policy, window) group forms one contiguous
+/// run of the journal.
+fn assert_groups_contiguous(records: &[JournalRecord], what: &str) {
+    let mut seen = BTreeSet::new();
+    let mut last = None;
+    for record in records {
+        let group = record_group(record);
+        if last.as_ref() != Some(&group) {
+            assert!(
+                seen.insert(group.clone()),
+                "{what}: group {group:?} is split across the journal"
+            );
+            last = Some(group);
+        }
+    }
+}
+
+/// The premise the journal's forward replay cursor rests on: the records
+/// of one stage, policy and intake window lie contiguously, even with
+/// several policies sharing one journal (as `fig3 --strategy all` does),
+/// chaos retries and quarantines, and a kill-and-resume. A resumed run
+/// replays every journaled record — it appends only the missing ones —
+/// and reproduces the uninterrupted reports.
+#[test]
+fn journal_groups_stay_contiguous_across_policies_chaos_and_resume() {
+    let wb = Workbench::toy(707);
+    let pre = wb.pretrain(10).expect("valid workbench");
+    let runner = FatRunner::new(wb).expect("valid workbench");
+    let fleet = toy_fleet(12);
+    let dir = scratch_dir("contiguity");
+    // Jobs 1 and 5 fail once and are retried; jobs 2 and 9 exhaust their
+    // retry and are quarantined — in the grid and in every fleet run
+    // (job ids are grid cells there, chip ids here).
+    let exec = ExecConfig::new(4)
+        .with_retry_budget(1)
+        .with_chaos(ChaosPolicy::fail_at(&[
+            (1, 0),
+            (2, 0),
+            (2, 1),
+            (5, 0),
+            (9, 0),
+            (9, 1),
+        ]));
+    let runs = [
+        (
+            RetrainPolicy::Reduce(Statistic::Max),
+            FleetStrategy::PerChip,
+        ),
+        (
+            RetrainPolicy::Reduce(Statistic::Max),
+            FleetStrategy::Clustered(ClusterConfig::default()),
+        ),
+        (RetrainPolicy::Fixed(2), FleetStrategy::PerChip),
+    ];
+    let run = |cp: &Checkpoint| -> (ResilienceAnalysis, Vec<FleetReport>) {
+        let analysis =
+            ResilienceAnalysis::run_resumable(&runner, &pre, grid_config(), &exec, Some(cp))
+                .expect("characterisation runs");
+        let table = analysis.table();
+        let reports = runs
+            .iter()
+            .map(|(policy, strategy)| {
+                FleetEvaluation::new(*policy, 0.85)
+                    .source(&fleet)
+                    .table(&table)
+                    .fleet_strategy(*strategy)
+                    .window(4)
+                    .batch_cap(2)
+                    .journal(cp)
+                    .exec(&exec)
+                    .run(&runner, &pre)
+                    .expect("fleet runs")
+            })
+            .collect();
+        (analysis, reports)
+    };
+
+    let full_cp = Checkpoint::create(&dir.join("full/journal.jsonl")).with_shard_records(3);
+    let (reference, reference_reports) = run(&full_cp);
+    let completed = full_cp.records().expect("journal readable");
+    assert!(
+        completed
+            .iter()
+            .any(|r| matches!(r, JournalRecord::PointFailed { .. })),
+        "chaos quarantined a grid cell"
+    );
+    assert!(
+        reference_reports.iter().all(|r| r.quarantined_count() > 0),
+        "chaos quarantined chips in every fleet run"
+    );
+    assert_groups_contiguous(&completed, "uninterrupted run");
+    let total = completed.len();
+    for cut in [1, total / 3, total / 2, total - 1] {
+        let cut_path = dir.join(format!("cut{cut}/journal.jsonl"));
+        let prefix_cp = Checkpoint::create(&cut_path).with_shard_records(3);
+        for record in completed.iter().take(cut) {
+            prefix_cp
+                .append(record.clone())
+                .expect("prefix journal writable");
+        }
+        let resumed_cp = Checkpoint::resume(&cut_path).expect("valid prefix journal");
+        let (analysis, reports) = run(&resumed_cp);
+        assert_eq!(analysis.points(), reference.points(), "cut {cut}");
+        assert_eq!(reports, reference_reports, "cut {cut}");
+        assert_eq!(
+            resumed_cp.io_stats().expect("stats").appends as usize,
+            total - cut,
+            "cut {cut}: every journaled record replays"
+        );
+        let resumed = resumed_cp.records().expect("journal readable");
+        assert_groups_contiguous(&resumed, &format!("resumed at cut {cut}"));
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
